@@ -8,7 +8,7 @@
 
 pub struct Worker {
     mail_ring: BatchRing,
-    queue: CalendarQueue,
+    queue: EventQueue,
     outbox: Vec<u64>,
     scratch: Vec<u64>,
     slot: Option<u64>,

@@ -6,7 +6,7 @@
 
 pub struct Worker {
     mail_ring: BatchRing,
-    queue: CalendarQueue,
+    queue: EventQueue,
     scratch: Vec<u64>,
 }
 

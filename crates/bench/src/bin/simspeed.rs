@@ -4,23 +4,22 @@
 //! wallclock — the packets-per-second engine behind every sweep. It times
 //! the Fig. 6 + Fig. 7 reproductions (parallel sweeps), a ShmCluster
 //! ping-pong storm, the raw store-issue path, counts heap allocations per
-//! message, and scales the sharded event engine across worker threads,
-//! queue backends and mailbox kinds on an 8×8 mesh — including a
-//! per-stage attribution run (queue ops vs mailbox handoff vs event
-//! execution) — then writes `BENCH_simspeed.json` next to the workspace
-//! root so future perf PRs can regress against it. See docs/hot-path.md
-//! for the schema.
+//! message, and scales the sharded event engine across worker threads on
+//! an 8×8 mesh — including a per-stage attribution run (queue ops vs
+//! mailbox handoff vs event execution) — then writes
+//! `BENCH_simspeed.json` next to the workspace root so future perf PRs
+//! can regress against it. See docs/hot-path.md for the schema.
 //!
 //! Modes:
 //!
 //! * default — full run, writes `BENCH_simspeed.json`.
-//! * `--smoke` — fast CI subset: runs the event engine across queue
-//!   backends × mailbox kinds × {1, 4} worker threads on a 4×4 mesh,
-//!   asserts the reports are byte-identical (the determinism contract)
-//!   and that single-thread throughput clears a recorded floor (a
-//!   generous fraction of the tuned rate, so noisy runners pass but a
-//!   regression to the pre-optimization engine fails), then exits
-//!   without touching the JSON.
+//! * `--smoke` — fast CI subset: runs the event engine on a 4×4 mesh
+//!   three times at one worker thread and once at four, asserts the
+//!   reports are byte-identical (the determinism contract) and that the
+//!   best single-thread throughput clears a recorded floor (a generous
+//!   fraction of the tuned rate, so noisy runners pass but a regression
+//!   to the pre-optimization engine fails), then exits without touching
+//!   the JSON.
 //! * `--check` — full run plus host-aware regression guards (exit 1 on
 //!   violation). Guards that depend on host parallelism (the shm storm,
 //!   the 8-thread scaling target) are skipped — loudly — on hosts without
@@ -40,8 +39,7 @@ use tcc_msglib::shm::ShmMemory;
 use tcc_msglib::SendMode;
 use tccluster::firmware::topology::ClusterTopology;
 use tccluster::{
-    EngineKind, MailboxKind, QueueBackend, ShmCluster, StageProfile, TcclusterBuilder,
-    TrafficPattern, WorkloadReport,
+    EngineKind, ShmCluster, StageProfile, TcclusterBuilder, TrafficPattern, WorkloadReport,
 };
 
 /// Counting allocator: every heap allocation in the process bumps a
@@ -137,9 +135,7 @@ const MESH8_T1_TARGET_EPS: f64 = 20_000_000.0;
 /// The baseline was recorded on one specific host, so this guard — like
 /// the fig6 and storm guards — carries a generous cross-host margin and
 /// only catches catastrophic regressions (an accidental O(n^2) path, a
-/// debug-mode queue). The host-independent comparisons are the hold
-/// model and the same-run ladder-vs-heap band, which need no margin for
-/// host speed. Measured 1.13-1.22x on the recording host.
+/// debug-mode queue). Measured 1.13-1.22x on the recording host.
 const MESH8_T1_SPEEDUP_FLOOR: f64 = 0.6;
 
 fn time_ms(f: impl FnOnce()) -> f64 {
@@ -258,21 +254,14 @@ fn bench_shm_channel() -> (f64, f64) {
 
 /// Pure queue-op microbenchmark: the classic hold model — pop the
 /// minimum, reschedule it a pseudo-random delta ahead — over a steady
-/// population the size of a loaded shard queue. End-to-end rates are
-/// exec-dominated (see the stage attribution), so this is where the
-/// backend comparison actually resolves. Returns ns per hold
-/// (pop + schedule).
-fn bench_queue_hold(backend: QueueBackend) -> f64 {
-    bench_queue_hold_at(backend, 192)
-}
-
-/// [`bench_queue_hold`] at an explicit steady population, for the
-/// population sweep that guards the ladder against density inversions.
-fn bench_queue_hold_at(backend: QueueBackend, population: u64) -> f64 {
+/// population. End-to-end rates are exec-dominated (see the stage
+/// attribution), so this isolates the queue's own cost. Returns ns per
+/// hold (pop + schedule).
+fn bench_queue_hold(population: u64) -> f64 {
     use tccluster::fabric::event::EventQueue;
     use tccluster::fabric::time::SimTime;
     const OPS: u64 = 2_000_000;
-    let mut q: EventQueue<u32> = EventQueue::with_backend(backend);
+    let mut q: EventQueue<u32> = EventQueue::new();
     let mut x = 0x9E3779B97F4A7C15u64;
     let mut step = || {
         x ^= x << 13;
@@ -316,32 +305,15 @@ fn bench_event_fabric() -> f64 {
     report.events as f64 / dt
 }
 
-/// One 8×8 all-to-all run (4032 flows) at a given worker-thread count,
-/// queue backend and mailbox kind. Returns (events/sec, report) — the
-/// report so the caller can assert cross-configuration determinism.
-fn bench_mesh8(
-    threads: usize,
-    backend: QueueBackend,
-    mailbox: MailboxKind,
-) -> (f64, WorkloadReport) {
-    bench_mesh8_lane(threads, backend, mailbox, true)
-}
-
-/// [`bench_mesh8`] with the flat fast lane switchable, for the A/B rows.
-fn bench_mesh8_lane(
-    threads: usize,
-    backend: QueueBackend,
-    mailbox: MailboxKind,
-    flat_lane: bool,
-) -> (f64, WorkloadReport) {
+/// One 8×8 all-to-all run (4032 flows) at a given worker-thread count.
+/// Returns (events/sec, report) — the report so the caller can assert
+/// cross-thread-count determinism.
+fn bench_mesh8(threads: usize) -> (f64, WorkloadReport) {
     let mut cluster = TcclusterBuilder::new()
         .topology(ClusterTopology::Mesh { x: 8, y: 8 })
         .processors_per_supernode(2)
         .engine(EngineKind::EventDriven)
         .event_threads(threads)
-        .event_queue(backend)
-        .event_mailbox(mailbox)
-        .event_flat_lane(flat_lane)
         .build_sim();
     let t0 = Instant::now();
     let report = cluster.run_workload(TrafficPattern::AllToAll, MESH8_FLOW_BYTES);
@@ -395,48 +367,36 @@ fn bench_shm_storm() -> f64 {
     (2 * ROUND_TRIPS) as f64 / dt
 }
 
-/// CI smoke: the event engine across {queue backend} × {mailbox kind} ×
-/// {1, 4 threads} on a 4×4 mesh must produce byte-identical reports, and
+/// CI smoke: the event engine on a 4×4 mesh, three runs at one thread
+/// and one at four, must produce byte-identical reports, and the best
 /// single-thread throughput must clear [`SMOKE_T1_FLOOR_EPS`] so a perf
 /// regression to the pre-optimization engine cannot land silently.
 /// Prints rates, exits nonzero via assert on violation.
 fn smoke() {
     println!("simspeed --smoke: determinism + perf floor (4x4 all-to-all)\n");
-    let run = |threads: usize, backend: QueueBackend, mailbox: MailboxKind| {
+    let run = |threads: usize| {
         let mut cluster = TcclusterBuilder::new()
             .topology(ClusterTopology::Mesh { x: 4, y: 4 })
             .processors_per_supernode(2)
             .engine(EngineKind::EventDriven)
             .event_threads(threads)
-            .event_queue(backend)
-            .event_mailbox(mailbox)
             .build_sim();
         let t0 = Instant::now();
         let report = cluster.run_workload(TrafficPattern::AllToAll, 2 << 10);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(report.lost_packets(), 0, "smoke lost packets");
         let eps = report.events as f64 / dt;
-        println!(
-            "  {:>11} x {:>5} x{threads} threads: {eps:>12.0} events/sec",
-            backend.name(),
-            mailbox.name(),
-        );
+        println!("  x{threads} threads: {eps:>12.0} events/sec");
         (eps, report)
     };
-    let (_, baseline) = run(1, QueueBackend::default(), MailboxKind::default());
-    let mut best_t1 = 0.0f64;
-    for backend in QueueBackend::ALL {
-        for mailbox in MailboxKind::ALL {
-            for threads in [1usize, 4] {
-                let (eps, got) = run(threads, backend, mailbox);
-                assert_eq!(
-                    got, baseline,
-                    "{backend:?} x {mailbox:?} x{threads} threads diverged"
-                );
-                if threads == 1 {
-                    best_t1 = best_t1.max(eps);
-                }
-            }
+    let (mut best_t1, baseline) = run(1);
+    // Two more t1 runs make the floor a best of 3; t4 is the threaded
+    // executive's determinism check.
+    for threads in [1usize, 1, 4] {
+        let (eps, got) = run(threads);
+        assert_eq!(got, baseline, "x{threads} threads diverged");
+        if threads == 1 {
+            best_t1 = best_t1.max(eps);
         }
     }
     assert!(
@@ -445,7 +405,7 @@ fn smoke() {
          {SMOKE_T1_FLOOR_EPS:.0} floor — the event-engine fast paths have regressed"
     );
     println!(
-        "\nsmoke OK: all configurations byte-identical; best t1 rate \
+        "\nsmoke OK: all runs byte-identical; best t1 rate \
          {best_t1:.0} events/sec clears the {SMOKE_T1_FLOOR_EPS:.0} floor"
     );
 }
@@ -460,29 +420,20 @@ fn main() {
     if args.iter().any(|a| a == "--hold") {
         const POPS: [u64; 6] = [24, 48, 96, 192, 384, 768];
         println!("queue hold model (pop + schedule), ns/hold by steady population:");
-        print!("  {:>11}", "population");
         for pop in POPS {
-            print!("  {pop:>7}");
-        }
-        println!();
-        for backend in QueueBackend::ALL {
-            print!("  {:>11}", backend.name());
-            for pop in POPS {
-                let ns = best_of(|| bench_queue_hold_at(backend, pop));
-                print!("  {ns:>7.1}");
-            }
-            println!();
+            let ns = best_of(|| bench_queue_hold(pop));
+            println!("  {pop:>7}  {ns:>7.1}");
         }
         return;
     }
     if args.iter().any(|a| a == "--mesh8-once") {
         let mut best = 0.0f64;
         for _ in 0..5 {
-            let (eps, _) = bench_mesh8(1, QueueBackend::Ladder, MailboxKind::Ring);
-            println!("ladder x1  {eps:.0} events/sec");
+            let (eps, _) = bench_mesh8(1);
+            println!("x1    {eps:.0} events/sec");
             best = best.max(eps);
         }
-        println!("best       {best:.0} events/sec");
+        println!("best  {best:.0} events/sec");
         return;
     }
     if args.iter().any(|a| a == "--attr") {
@@ -514,24 +465,6 @@ fn main() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--mesh8") {
-        println!("event fabric 8x8 all-to-all ({MESH8_FLOW_BYTES} B x 4032 flows), t1:");
-        for backend in QueueBackend::ALL {
-            for flat in [true, false] {
-                let mut eps = 0.0f64;
-                for _ in 0..REPS {
-                    let (e, _) = bench_mesh8_lane(1, backend, MailboxKind::Ring, flat);
-                    eps = eps.max(e);
-                }
-                println!(
-                    "  {:>11} x1 threads  flat={:<5}  {eps:>12.0} events/sec",
-                    backend.name(),
-                    flat
-                );
-            }
-        }
-        return;
-    }
     let check = args.iter().any(|a| a == "--check");
     let cpus = host_cpus();
     println!("simspeed: wallclock of the reproduction's hot paths (host_cpus={cpus})\n");
@@ -551,89 +484,36 @@ fn main() {
     let event_eps = -best_of(|| -bench_event_fabric());
     println!("event fabric (2x2 mesh)    {event_eps:>12.0} events/sec");
 
-    // Pure queue-op hold model: the backend comparison that end-to-end
+    // Pure queue-op hold model: the queue's own cost, which end-to-end
     // rates (exec-dominated) cannot resolve above host noise.
-    println!("\nqueue hold model (pop + schedule, population 192):");
-    let mut hold = [0.0f64; 4];
-    for (i, backend) in QueueBackend::ALL.into_iter().enumerate() {
-        hold[i] = best_of(|| bench_queue_hold(backend));
-        println!("  {:>11}  {:>8.1} ns/hold", backend.name(), hold[i]);
-    }
-    let (hold_ladder, hold_calendar, hold_heap, hold_auto) = (hold[0], hold[1], hold[2], hold[3]);
+    let hold = best_of(|| bench_queue_hold(192));
+    println!("\nqueue hold model (pop + schedule, population 192): {hold:.1} ns/hold");
 
-    // ── 8×8 full backend × thread matrix (ring mailboxes). Single run
-    // per cell except the t1 row (best-of-REPS: the t1 cells anchor the
-    // regression guards and the scaling denominator, so they get the
-    // noise suppression); the determinism assert makes every run double
-    // as a correctness check. ─────────────────────────────────────────
+    // ── 8×8 thread row. Single run per cell except t1 (best-of-REPS:
+    // the t1 cell anchors the regression guards and the scaling
+    // denominator, so it gets the noise suppression); the determinism
+    // assert makes every run double as a correctness check. ───────────
     println!("\nevent fabric 8x8 all-to-all ({MESH8_FLOW_BYTES} B x 4032 flows):");
-    let mut matrix: Vec<(QueueBackend, [f64; 4])> = Vec::new();
+    let mut row = [0.0f64; 4];
     let mut baseline: Option<WorkloadReport> = None;
-    for backend in QueueBackend::ALL {
-        let mut row = [0.0f64; 4];
-        for (i, threads) in [1usize, 2, 4, 8].into_iter().enumerate() {
-            let mut eps = 0.0f64;
-            let reps = if threads == 1 { REPS } else { 1 };
-            for _ in 0..reps {
-                let (e, report) = bench_mesh8(threads, backend, MailboxKind::Ring);
-                eps = eps.max(e);
-                if let Some(b) = &baseline {
-                    assert_eq!(&report, b, "8x8 {backend:?} x{threads} diverged");
-                } else {
-                    baseline = Some(report);
-                }
-            }
-            println!(
-                "  {:>11} x{threads} threads  {eps:>12.0} events/sec",
-                backend.name()
-            );
-            row[i] = eps;
-        }
-        matrix.push((backend, row));
-    }
-    // Mutex-mailbox reference at t1: the differential slow path stays
-    // benchmarked so the handoff win is visible in the record.
-    let (mutex_t1, mutex_report) = bench_mesh8(1, QueueBackend::default(), MailboxKind::Mutex);
-    println!("  mutex mailbox x1 thread {mutex_t1:>12.0} events/sec");
-    assert_eq!(
-        &mutex_report,
-        baseline.as_ref().expect("baseline run"),
-        "8x8 mutex mailbox diverged from ring"
-    );
-    let mesh8_events = baseline.as_ref().map_or(0, |r| r.events);
-    // Flat-lane A/B at t1 (default backend, ring mailboxes): the lane-on
-    // rate is the default-backend t1 row above; lane-off is measured here
-    // so the fast lane's end-to-end worth stays in the record.
-    let mut flat_off_t1 = 0.0f64;
-    for _ in 0..REPS {
-        let (e, report) = bench_mesh8_lane(1, QueueBackend::default(), MailboxKind::Ring, false);
-        flat_off_t1 = flat_off_t1.max(e);
-        assert_eq!(
-            &report,
-            baseline.as_ref().expect("baseline run"),
-            "8x8 flat lane off diverged"
-        );
-    }
-    println!("  flat lane off x1 thread {flat_off_t1:>12.0} events/sec");
-
-    // speedup_t8_vs_t1 against the BEST t1 backend, not the slowest.
-    let (best_t1_backend, best_t1) = matrix.iter().map(|&(b, row)| (b, row[0])).fold(
-        (QueueBackend::default(), 0.0f64),
-        |best, x| {
-            if x.1 > best.1 {
-                x
+    for (i, threads) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        let reps = if threads == 1 { REPS } else { 1 };
+        for _ in 0..reps {
+            let (e, report) = bench_mesh8(threads);
+            row[i] = row[i].max(e);
+            if let Some(b) = &baseline {
+                assert_eq!(&report, b, "8x8 x{threads} diverged");
             } else {
-                best
+                baseline = Some(report);
             }
-        },
-    );
-    let best_t8 = matrix.iter().map(|&(_, row)| row[3]).fold(0.0f64, f64::max);
-    let speedup8 = best_t8 / best_t1;
+        }
+        println!("  x{threads} threads  {:>12.0} events/sec", row[i]);
+    }
+    let mesh8_events = baseline.as_ref().map_or(0, |r| r.events);
+    let best_t1 = row[0];
+    let speedup8 = row[3] / best_t1;
     let t1_speedup = best_t1 / PRE_CHANGE_MESH8_T1_EPS;
-    println!(
-        "  t8/t1 scaling: {speedup8:.2}x of best t1 ({}, host has {cpus} CPUs)",
-        best_t1_backend.name()
-    );
+    println!("  t8/t1 scaling: {speedup8:.2}x (host has {cpus} CPUs)");
     println!("  t1 vs pre-change engine: {t1_speedup:.2}x ({best_t1:.0} vs {PRE_CHANGE_MESH8_T1_EPS:.0})");
 
     // ── Per-stage attribution (instrumented run; split, not rate).
@@ -681,21 +561,10 @@ fn main() {
         println!("\nvs pre-change baseline: fig6 {speedup6:.1}x, fig7 {speedup7:.1}x");
     }
 
-    let row = |b: QueueBackend| {
-        matrix
-            .iter()
-            .find(|&&(mb, _)| mb == b)
-            .map(|&(_, r)| r)
-            .expect("matrix covers all backends")
-    };
-    let lad = row(QueueBackend::Ladder);
-    let cal = row(QueueBackend::Calendar);
-    let heap = row(QueueBackend::BinaryHeap);
-    let auto = row(QueueBackend::Auto);
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"tcc-simspeed-v5\",\n",
+            "  \"schema\": \"tcc-simspeed-v6\",\n",
             "  \"host_cpus\": {cpus},\n",
             "  \"pre_change\": {{\n",
             "    \"fig6_sweep_ms\": {f6:.1},\n",
@@ -721,29 +590,18 @@ fn main() {
             "  }},\n",
             "  \"queue_hold_ns\": {{\n",
             "    \"population\": 192,\n",
-            "    \"ladder\": {hl:.1},\n",
-            "    \"calendar\": {hc:.1},\n",
-            "    \"binary_heap\": {hh:.1},\n",
-            "    \"auto\": {ha:.1}\n",
+            "    \"ns_per_hold\": {hold:.1}\n",
             "  }},\n",
             "  \"event_fabric_8x8\": {{\n",
             "    \"flow_bytes\": {fb},\n",
             "    \"flows\": 4032,\n",
             "    \"events\": {evn},\n",
-            "    \"events_per_sec\": {{\n",
-            "      \"ladder\":      {{ \"t1\": {l1:.0}, \"t2\": {l2:.0}, \"t4\": {l4:.0}, \"t8\": {l8:.0} }},\n",
-            "      \"calendar\":    {{ \"t1\": {c1:.0}, \"t2\": {c2:.0}, \"t4\": {c4:.0}, \"t8\": {c8:.0} }},\n",
-            "      \"binary_heap\": {{ \"t1\": {h1:.0}, \"t2\": {h2:.0}, \"t4\": {h4:.0}, \"t8\": {h8:.0} }},\n",
-            "      \"auto\":        {{ \"t1\": {a1:.0}, \"t2\": {a2:.0}, \"t4\": {a4:.0}, \"t8\": {a8:.0} }}\n",
-            "    }},\n",
-            "    \"mutex_mailbox_t1_events_per_sec\": {mx1:.0},\n",
-            "    \"flat_lane_t1_events_per_sec\": {{ \"on\": {fl1:.0}, \"off\": {fl0:.0} }},\n",
-            "    \"best_t1_backend\": \"{bb}\",\n",
+            "    \"events_per_sec\": {{ \"t1\": {t1:.0}, \"t2\": {t2:.0}, \"t4\": {t4:.0}, \"t8\": {t8:.0} }},\n",
             "    \"t1_speedup_vs_pre_change\": {t1sp:.2},\n",
             "    \"t1_floor_events_per_sec\": {floor:.0},\n",
             "    \"single_thread_target_events_per_sec\": {target:.0},\n",
             "    \"speedup_t8_vs_t1\": {sp8:.2},\n",
-            "    \"deterministic_across_threads_and_backends\": true,\n",
+            "    \"deterministic_across_threads\": true,\n",
             "    \"stage_attribution_t1\": {{\n",
             "      \"profiled_events\": {pe},\n",
             "      \"sampled_events\": {se},\n",
@@ -762,7 +620,7 @@ fn main() {
             "  \"notes\": {{\n",
             "    \"shm_storm\": \"2-thread ping-pong; context-switch bound on single-CPU hosts (pre_change was a multi-core host). Guarded only when host_cpus >= 2.\",\n",
             "    \"event_fabric_8x8\": \"thread scaling requires host cores; the t8/t1 target is asserted by --check only when host_cpus >= 8. The t1 guard is relative: best t1 must clear the recorded floor times the cross-host margin. t1 runs the sequential merged executive (one queue scan per shard visit, direct outbox handoff, no mailboxes); t2+ run the epoch algorithm.\",\n",
-            "    \"queue_hold\": \"auto is the default backend: ladder while the population stays small, migrating to a width-retuned calendar when it sustains above the crossover. The 192-population inversion from v4 is closed by the calendar width retune.\",\n",
+            "    \"queue_hold\": \"the one event queue: a slab arena plus std BinaryHeap of (key, handle) pairs. simspeed --hold prints the population sweep 24-768.\",\n",
             "    \"stage_attribution\": \"queue/exec (and the credit/route/deliver split of exec) are timed on 1 in sample_every events; mailbox covers every visit. Shares are normalised to ns/event before computing pcts. shard_visits counts productive visits (>= 1 event).\"\n",
             "  }}\n",
             "}}\n"
@@ -786,20 +644,13 @@ fn main() {
         shma = shm_allocs,
         storm = storm,
         ev = event_eps,
-        hl = hold_ladder,
-        hc = hold_calendar,
-        hh = hold_heap,
-        ha = hold_auto,
+        hold = hold,
         fb = MESH8_FLOW_BYTES,
         evn = mesh8_events,
-        l1 = lad[0], l2 = lad[1], l4 = lad[2], l8 = lad[3],
-        c1 = cal[0], c2 = cal[1], c4 = cal[2], c8 = cal[3],
-        h1 = heap[0], h2 = heap[1], h4 = heap[2], h8 = heap[3],
-        a1 = auto[0], a2 = auto[1], a4 = auto[2], a8 = auto[3],
-        mx1 = mutex_t1,
-        fl1 = auto[0],
-        fl0 = flat_off_t1,
-        bb = best_t1_backend.name(),
+        t1 = row[0],
+        t2 = row[1],
+        t4 = row[2],
+        t8 = row[3],
         t1sp = t1_speedup,
         floor = MESH8_T1_FLOOR_EPS,
         target = MESH8_T1_TARGET_EPS,
@@ -846,31 +697,6 @@ fn main() {
             "fig6 not slower than pre-change",
             fig6_ms <= PRE_CHANGE_FIG6_MS,
             format!("({fig6_ms:.1} ms vs {PRE_CHANGE_FIG6_MS:.1})"),
-        );
-        // The backend comparison: resolved by the hold model (pure queue
-        // ops), where backend cost isn't drowned by the exec share. The
-        // guards follow the *default* backend (auto): at the 192 guard
-        // population the pure ladder legitimately loses to the calendar
-        // (its refill sweep is linear in the top tier) — the adaptive
-        // default is what must beat the binary-heap reference. All
-        // same-run ratios, immune to host speed.
-        guard(
-            "queue hold: auto <= binary heap",
-            hold_auto <= hold_heap,
-            format!("({hold_auto:.1} vs {hold_heap:.1} ns/hold)"),
-        );
-        guard(
-            "queue hold: auto tracks best pure backend",
-            hold_auto <= hold_ladder.min(hold_calendar) * 1.3,
-            format!(
-                "({hold_auto:.1} vs best {:.1} ns/hold)",
-                hold_ladder.min(hold_calendar)
-            ),
-        );
-        guard(
-            "8x8 auto t1 within 5% of best backend",
-            auto[0] >= best_t1 * 0.95,
-            format!("({:.0} vs {:.0} events/sec)", auto[0], best_t1),
         );
         guard(
             &format!("8x8 t1 >= {MESH8_T1_SPEEDUP_FLOOR:.1}x pre-change engine"),

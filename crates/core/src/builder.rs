@@ -2,10 +2,9 @@
 //! a packet-level simulation ([`SimCluster`]) or as a threaded
 //! shared-memory emulation ([`ShmCluster`]).
 
-use crate::engine::{EngineKind, EngineOptions, MailboxKind};
+use crate::engine::{EngineKind, EngineOptions};
 use crate::shm_cluster::ShmCluster;
 use crate::sim::SimCluster;
-use tcc_fabric::event::QueueBackend;
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
 use tcc_ht::link::LinkConfig;
 use tcc_msglib::ring::SendMode;
@@ -105,36 +104,6 @@ impl TcclusterBuilder {
     #[must_use]
     pub fn event_threads(mut self, threads: usize) -> Self {
         self.options.threads = threads.max(1);
-        self
-    }
-
-    /// Event-queue backend for the event engine: the population-adaptive
-    /// default (ladder while small, calendar when the population
-    /// sustains above the hold-model crossover), or one of the pure
-    /// backends kept for differential testing and A/B timing.
-    #[must_use]
-    pub fn event_queue(mut self, backend: QueueBackend) -> Self {
-        self.options.backend = backend;
-        self
-    }
-
-    /// Cross-shard mailbox implementation for the event engine: batched
-    /// SPSC rings (default) or the mutex mailbox kept for differential
-    /// testing. Results are bit-identical either way.
-    #[must_use]
-    pub fn event_mailbox(mut self, mailbox: MailboxKind) -> Self {
-        self.options.mailbox = mailbox;
-        self
-    }
-
-    /// Toggle the event engine's flat fast lane: fixed-shape 64 B posted
-    /// writes dispatch through a precomputed per-node table instead of
-    /// the general decision tree. On by default; results are
-    /// bit-identical either way, so turning it off only serves A/B
-    /// timing and differential tests.
-    #[must_use]
-    pub fn event_flat_lane(mut self, on: bool) -> Self {
-        self.options.flat_lane = on;
         self
     }
 

@@ -62,8 +62,8 @@
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use tcc_fabric::event::{EventKey, EventQueue, QueueBackend};
+use std::sync::Barrier;
+use tcc_fabric::event::{EventKey, EventQueue};
 use tcc_fabric::time::{Duration, SimTime};
 use tcc_firmware::machine::{PacketEvent, Platform};
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, Port};
@@ -86,32 +86,6 @@ pub enum EngineKind {
     EventDriven,
 }
 
-/// How cross-shard events move between PDES workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MailboxKind {
-    /// Epoch-batched SPSC [`BatchRing`]s, one per (sender → receiver)
-    /// shard pair with a cut wire: senders stage events locally and
-    /// publish the whole batch once per epoch — no per-event locking.
-    #[default]
-    Ring,
-    /// The original per-receiver `Mutex<Vec>` mailbox, locked per event.
-    /// Kept as the differential-testing reference for the ring path.
-    Mutex,
-}
-
-impl MailboxKind {
-    /// Every mailbox kind, for differential tests and benches.
-    pub const ALL: [MailboxKind; 2] = [MailboxKind::Ring, MailboxKind::Mutex];
-
-    /// Short stable name (bench JSON keys, test labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            MailboxKind::Ring => "ring",
-            MailboxKind::Mutex => "mutex",
-        }
-    }
-}
-
 /// Tuning knobs for the event engine's executive.
 ///
 /// No `PartialEq`: the profile clock is a function pointer, and function
@@ -123,13 +97,6 @@ pub struct EngineOptions {
     /// `1` runs the same epoch algorithm inline (no spawn, no barriers)
     /// and is the zero-allocation reference path.
     pub threads: usize,
-    /// Event-queue backend per shard (population-adaptive by default:
-    /// ladder while small, calendar when large; the pure backends are
-    /// kept for differential testing and A/B timing).
-    pub backend: QueueBackend,
-    /// Cross-shard mailbox implementation (batched SPSC rings by
-    /// default; the mutex mailbox is kept for differential testing).
-    pub mailbox: MailboxKind,
     /// Monotonic nanosecond clock for per-stage attribution
     /// ([`EventEngine::stage_profile`]). `None` (the default) runs the
     /// unconditional hot loop with zero instrumentation; benches inject
@@ -137,24 +104,13 @@ pub struct EngineOptions {
     /// of any wall clock by this crate — so the engine itself stays free
     /// of nondeterminism sources.
     pub profile_clock: Option<fn() -> u64>,
-    /// Use the flat-wire fast lane for 64 B posted-write arrivals: route
-    /// and credit class precomputed per address range at engine-build
-    /// time ([`Northbridge::flat_table`](tcc_opteron::nb)), straight-line
-    /// accept → deliver with no command dispatch. `false` forces every
-    /// packet down the general path — the differential-testing reference
-    /// the determinism suite diffs against. Results are bit-identical
-    /// either way.
-    pub flat_lane: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             threads: 1,
-            backend: QueueBackend::default(),
-            mailbox: MailboxKind::default(),
             profile_clock: None,
-            flat_lane: true,
         }
     }
 }
@@ -367,8 +323,8 @@ struct MonRec {
 
 /// Everything one supernode's slice of the fabric owns: its ports, its
 /// flows, its receive-bridge drain clocks and its event queue. Shards
-/// share nothing; cross-shard traffic moves only through [`Inbox`]es at
-/// epoch boundaries.
+/// share nothing; cross-shard traffic moves only through staged outboxes
+/// at epoch boundaries.
 #[derive(Debug)]
 struct Shard {
     /// Shard index == supernode index; also the `src` stamp of every
@@ -398,7 +354,7 @@ struct Shard {
     /// Monitor records of this run (empty unless a monitor is mounted).
     monlog: Vec<MonRec>,
     /// Double-buffer for mailbox drains; capacity ping-pongs with the
-    /// mailbox Vecs so the steady state allocates nothing.
+    /// ring batches so the steady state allocates nothing.
     inscratch: Vec<(EventKey, FabricEvent)>,
     /// Ring-mailbox staging, indexed by destination shard: cross-shard
     /// sends accumulate here during an epoch and publish in one batch at
@@ -413,30 +369,13 @@ struct Shard {
     profile: StageProfile,
 }
 
-/// A shard's per-epoch mailbox: events other shards scheduled into it,
-/// applied at the next epoch barrier. The mutex is uncontended in the
-/// inline path and epoch-bounded in the threaded path; push order is
-/// irrelevant because delivery order is decided by the event keys.
-#[derive(Debug)]
-struct Inbox(Mutex<Vec<(EventKey, FabricEvent)>>);
-
-/// The cross-shard transport, in both flavours. The ring fabric is the
-/// default: `rings[src][dst]` exists iff some wire crosses from shard
-/// `src` to shard `dst`, and carries at most one batch per epoch
-/// (published before the epoch barrier, taken after it, with the barrier
-/// providing the happens-before edge). The mutex mailboxes are the
-/// reference implementation the determinism suite diffs against; they
-/// are always allocated (one lock per shard is negligible) so a single
-/// engine can be rebuilt onto either path.
-/// One epoch batch in flight from one shard to another.
+/// One epoch batch in flight from one shard to another. The cross-shard
+/// transport of the threaded executive is a matrix of these:
+/// `rings[src][dst]` exists iff some wire crosses from shard `src` to
+/// shard `dst`, and carries at most one batch per epoch (published before
+/// the epoch barrier, taken after it, with the barrier providing the
+/// happens-before edge).
 type EventRing = BatchRing<(EventKey, FabricEvent)>;
-
-#[derive(Debug)]
-struct Mailboxes {
-    kind: MailboxKind,
-    inboxes: Vec<Inbox>,
-    rings: Vec<Vec<Option<EventRing>>>,
-}
 
 /// One shard coupled to its slice of platform nodes for the duration of
 /// a run — the unit of work a PDES worker thread owns.
@@ -447,20 +386,16 @@ struct ShardRun<'a> {
     /// Per-node flat dispatch tables (node-local indexing, parallel to
     /// `nodes`), snapshotted at engine build.
     flat: &'a [FlatTable],
-    mail: &'a Mailboxes,
+    rings: &'a [Vec<Option<EventRing>>],
     /// Global node index → owning shard id — `node / procs` precomputed,
     /// so the per-delivery routing in `send_arrive` never divides.
     shard_of: &'a [u32],
     drain: Duration,
-    /// Record monitor callbacks for post-run replay.
+    /// Record monitor callbacks for post-run replay. Also selects the
+    /// wire lane: unmonitored runs take the flat fast lane for 64 B
+    /// posted writes, monitored runs send every packet down the general
+    /// path, which is the lane's differential oracle.
     record: bool,
-    /// Use the flat fast lane for 64 B posted-write arrivals. Forced off
-    /// while recording so monitors always observe the general path.
-    flat_lane: bool,
-    /// Sequential-executive mode: cross-shard sends always go to the
-    /// staging buffers (the executive moves them straight into the peer
-    /// queue after each batch), regardless of the mailbox kind.
-    direct: bool,
     /// Injected nanosecond clock for stage attribution, `None` on
     /// unprofiled (hot) runs.
     clock: Option<fn() -> u64>,
@@ -504,10 +439,11 @@ impl ShardRun<'_> {
     /// Route an `Arrive` to whichever shard owns the receiving node:
     /// locally into our own queue, or toward the peer shard (applied at
     /// the next epoch barrier — sound because the arrival is at least
-    /// one lookahead past the current horizon's base). On the ring path
-    /// a cross-shard send is a plain push onto this shard's private
-    /// staging buffer — no lock, no atomic; the whole buffer publishes
-    /// once at the epoch barrier (`publish_outboxes`).
+    /// one lookahead past the current horizon's base). A cross-shard
+    /// send is a plain push onto this shard's private staging buffer —
+    /// no lock, no atomic. The threaded executive publishes the whole
+    /// buffer once at the epoch barrier (`publish_outboxes`); the
+    /// sequential one moves it straight into the peer queue.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn send_arrive(&mut self, at: SimTime, node: usize, link: LinkId, packet: Packet) {
         let dst = self.shard_of[node] as usize;
@@ -521,43 +457,24 @@ impl ShardRun<'_> {
             seq: self.shard.seq,
         };
         self.shard.seq += 1;
-        let ev = FabricEvent::Arrive { node, link, packet };
-        if self.direct {
-            // Sequential executive: the driver moves the staging buffer
-            // straight into the peer queue after this batch.
-            self.shard.outbox[dst].push((key, ev));
-            return;
-        }
-        match self.mail.kind {
-            MailboxKind::Ring => self.shard.outbox[dst].push((key, ev)),
-            // A poisoned inbox means a peer worker panicked; its mail is
-            // still intact, and the run is aborting anyway — keep going
-            // so this worker reaches the barrier instead of double-
-            // panicking the process.
-            MailboxKind::Mutex => self.mail.inboxes[dst]
-                .0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((key, ev)),
-        }
+        self.shard.outbox[dst].push((key, FabricEvent::Arrive { node, link, packet }));
     }
 
     /// Publish every non-empty staging buffer into its pair ring — once
     /// per epoch, before the B0 barrier (run_worker) or the end of the
     /// epoch phase. The epoch protocol guarantees at most
     /// one batch in flight per pair, so a full ring is a protocol bug.
+    /// Profiled runs attribute the time to the mailbox stage.
     // tcc_transfer_ok: published batches stay in flight in the pair
     // rings until the receiver shard's drain_mail takes them next epoch.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch), tcc_transfer_ok)]
-    fn publish_outboxes(&mut self) {
-        if self.mail.kind != MailboxKind::Ring {
-            return;
-        }
+    fn publish_outboxes<const PROF: bool>(&mut self) {
+        let t0 = self.tick::<PROF>();
         let src = self.shard.id as usize;
         for i in 0..self.shard.out_peers.len() {
             let dst = self.shard.out_peers[i] as usize;
-            let Some(ring) = self.mail.rings[src][dst].as_ref() else {
+            let Some(ring) = self.rings[src][dst].as_ref() else {
                 protocol_violation!("shard {src} -> {dst}: out_peer entry without a ring");
             };
             assert!(
@@ -565,77 +482,44 @@ impl ShardRun<'_> {
                 "shard {src} -> {dst}: batch ring full (epoch protocol violated)"
             );
         }
+        if PROF {
+            self.shard.profile.mailbox_ns += self.tick::<PROF>().saturating_sub(t0);
+        }
     }
 
     /// Apply every event other shards mailed us since the last barrier:
-    /// take each in-peer's published batch (ring path) or swap out the
-    /// shared inbox (mutex path). Both paths recycle the shard's scratch
-    /// buffer, so the steady state moves events without allocating.
+    /// take each in-peer's published batch, recycling the shard's scratch
+    /// buffer so the steady state moves events without allocating.
+    /// Profiled runs attribute the time to the mailbox stage.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch))]
-    fn drain_mail(&mut self) {
+    fn drain_mail<const PROF: bool>(&mut self) {
+        let t0 = self.tick::<PROF>();
         let mut scratch = std::mem::take(&mut self.shard.inscratch);
-        match self.mail.kind {
-            MailboxKind::Ring => {
-                let me = self.shard.id as usize;
-                for i in 0..self.shard.in_peers.len() {
-                    let src = self.shard.in_peers[i] as usize;
-                    let Some(ring) = self.mail.rings[src][me].as_ref() else {
-                        protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
-                    };
-                    while ring.take(&mut scratch) {
-                        for (key, ev) in scratch.drain(..) {
-                            self.shard.queue.schedule_keyed(key, ev);
-                        }
-                    }
-                }
-            }
-            MailboxKind::Mutex => {
-                {
-                    // See send_arrive: survive a peer's poison so the
-                    // abort path reaches the barrier.
-                    let mut inbox = self.mail.inboxes[self.shard.id as usize]
-                        .0
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    std::mem::swap(&mut *inbox, &mut scratch);
-                }
+        let me = self.shard.id as usize;
+        for i in 0..self.shard.in_peers.len() {
+            let src = self.shard.in_peers[i] as usize;
+            let Some(ring) = self.rings[src][me].as_ref() else {
+                protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
+            };
+            while ring.take(&mut scratch) {
                 for (key, ev) in scratch.drain(..) {
                     self.shard.queue.schedule_keyed(key, ev);
                 }
             }
         }
         self.shard.inscratch = scratch;
-    }
-
-    /// [`drain_mail`](Self::drain_mail) + [`publish_outboxes`]
-    /// (Self::publish_outboxes), attributed to the mailbox stage when a
-    /// profile clock is injected.
-    fn drain_mail_timed(&mut self) {
-        match self.clock {
-            Some(clk) => {
-                let t0 = clk();
-                self.drain_mail();
-                self.shard.profile.mailbox_ns += clk().saturating_sub(t0);
-            }
-            None => self.drain_mail(),
+        if PROF {
+            self.shard.profile.mailbox_ns += self.tick::<PROF>().saturating_sub(t0);
         }
     }
 
-    fn publish_outboxes_timed(&mut self) {
-        match self.clock {
-            Some(clk) => {
-                let t0 = clk();
-                self.publish_outboxes();
-                self.shard.profile.mailbox_ns += clk().saturating_sub(t0);
-            }
-            None => self.publish_outboxes(),
-        }
-    }
-
-    /// Handle one popped event.
+    /// Handle one popped event. The profiled instantiation sends
+    /// arrivals through the instrumented [`on_arrive`](Self::on_arrive)
+    /// so exec time sub-attributes into credit/route/deliver; the other
+    /// event kinds have no sub-stages.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn dispatch(&mut self, key: EventKey, ev: FabricEvent) {
+    fn dispatch<const PROF: bool>(&mut self, key: EventKey, ev: FabricEvent) {
         self.shard.now = key.at;
         match ev {
             FabricEvent::Pump { flow } => self.pump_flow(key.at, flow),
@@ -643,7 +527,7 @@ impl ShardRun<'_> {
                 self.on_inject(key.at, node, link, packet);
             }
             FabricEvent::Arrive { node, link, packet } => {
-                self.on_arrive(key, node, link, packet);
+                self.on_arrive::<PROF>(key, node, link, packet);
             }
             FabricEvent::Drained {
                 node,
@@ -655,79 +539,44 @@ impl ShardRun<'_> {
     }
 
     /// Handle every queued event strictly below `horizon`, in key order.
-    /// Returns the number handled. Dispatches to the instrumented twin
-    /// when a profile clock is injected; the hot path has no
-    /// instrumentation at all.
+    /// Returns the number handled.
+    ///
+    /// The unprofiled instantiation is the bare pop/dispatch loop. The
+    /// profiled one clocks one event in [`PROFILE_SAMPLE_EVERY`] around
+    /// the pop and the handler (arrivals sub-attribute into
+    /// credit/route/deliver); the other N-1 run the exact uninstrumented
+    /// path, so attribution costs ~2/N clock reads per event and the
+    /// measured run stays close to the headline run it explains.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn run_epoch(&mut self, horizon: SimTime) -> u64 {
+    fn run_epoch<const PROF: bool>(&mut self, horizon: SimTime) -> u64 {
         self.shard.profile.epochs += 1;
-        if let Some(clk) = self.clock {
-            return self.run_epoch_profiled(horizon, clk);
-        }
-        let mut handled = 0u64;
-        while let Some((key, ev)) = self.shard.queue.pop_keyed_before(horizon) {
-            handled += 1;
-            self.dispatch(key, ev);
-        }
-        self.shard.events += handled;
-        handled
-    }
-
-    /// The profiled twin of [`run_epoch`](Self::run_epoch): one event in
-    /// [`PROFILE_SAMPLE_EVERY`] gets clock reads around the pop and the
-    /// handler (arrivals sub-attribute into credit/route/deliver); the
-    /// other N-1 run the exact uninstrumented path. Per-event figures
-    /// divide queue/exec by `sampled_events`, so attribution now costs
-    /// ~2/N clock reads per event instead of 2 — the measured run stays
-    /// close to the headline run it is meant to explain.
-    fn run_epoch_profiled(&mut self, horizon: SimTime, clk: fn() -> u64) -> u64 {
         let mut handled = 0u64;
         loop {
             // events + handled is monotone across the whole run, so the
             // sample pattern is deterministic and phase-independent.
-            if !(self.shard.events + handled).is_multiple_of(PROFILE_SAMPLE_EVERY) {
+            if !PROF || !(self.shard.events + handled).is_multiple_of(PROFILE_SAMPLE_EVERY) {
                 let Some((key, ev)) = self.shard.queue.pop_keyed_before(horizon) else {
                     break;
                 };
                 handled += 1;
-                self.dispatch(key, ev);
+                self.dispatch::<false>(key, ev);
                 continue;
             }
-            let t0 = clk();
+            let t0 = self.tick::<PROF>();
             let popped = self.shard.queue.pop_keyed_before(horizon);
-            let t1 = clk();
+            let t1 = self.tick::<PROF>();
             self.shard.profile.queue_ns += t1.saturating_sub(t0);
             let Some((key, ev)) = popped else { break };
             handled += 1;
             self.shard.profile.sampled_events += 1;
-            self.dispatch_profiled(key, ev);
-            self.shard.profile.exec_ns += clk().saturating_sub(t1);
+            self.dispatch::<PROF>(key, ev);
+            self.shard.profile.exec_ns += self.tick::<PROF>().saturating_sub(t1);
         }
-        self.shard.profile.profiled_events += handled;
+        if PROF {
+            self.shard.profile.profiled_events += handled;
+        }
         self.shard.events += handled;
         handled
-    }
-
-    /// [`dispatch`](Self::dispatch) for a sampled event: arrivals take
-    /// the instrumented handler so exec time sub-attributes into
-    /// credit/route/deliver; the other event kinds have no sub-stages.
-    fn dispatch_profiled(&mut self, key: EventKey, ev: FabricEvent) {
-        self.shard.now = key.at;
-        match ev {
-            FabricEvent::Pump { flow } => self.pump_flow(key.at, flow),
-            FabricEvent::Inject { node, link, packet } => {
-                self.on_inject(key.at, node, link, packet);
-            }
-            FabricEvent::Arrive { node, link, packet } => {
-                self.on_arrive_profiled(key, node, link, packet);
-            }
-            FabricEvent::Drained {
-                node,
-                link,
-                vc,
-                has_data,
-            } => self.on_drained(key.at, node, link, vc, has_data),
-        }
     }
 
     /// Keep flow `i`'s transmit queue primed and pump its port. The flow
@@ -818,8 +667,8 @@ impl ShardRun<'_> {
         self.pump_port(now, node, link);
     }
 
-    /// Clock read for the instrumented twin; compiles to nothing on the
-    /// hot (`PROF = false`) instantiation.
+    /// Clock read for the profiled instantiation; compiles to nothing on
+    /// the hot (`PROF = false`) one.
     #[inline(always)]
     fn tick<const PROF: bool>(&self) -> u64 {
         if PROF {
@@ -832,25 +681,13 @@ impl ShardRun<'_> {
     /// A packet lands at (node, link): record it for the monitors, occupy
     /// a buffer, and route it — commit locally, forward out another link,
     /// or (for a NOP) release the credits it carries and wake blocked
-    /// transmitters.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn on_arrive(&mut self, key: EventKey, node: usize, link: LinkId, packet: Packet) {
-        self.on_arrive_impl::<false>(key, node, link, packet);
-    }
-
-    /// The instrumented twin of [`on_arrive`](Self::on_arrive): the same
-    /// code path (one monomorphization apart) with exec sub-stage probes
-    /// filling `route_ns`/`credit_ns`/`deliver_ns`.
-    fn on_arrive_profiled(&mut self, key: EventKey, node: usize, link: LinkId, packet: Packet) {
-        self.on_arrive_impl::<true>(key, node, link, packet);
-    }
-
+    /// transmitters. The profiled instantiation fills
+    /// `route_ns`/`credit_ns`/`deliver_ns`.
     // tcc_transfer_ok: an accepted packet's buffer stays occupied until
     // the Drain event scheduled here fires and on_drained releases it.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(credit, rxbuf), tcc_transfer_ok)]
-    #[inline(always)]
-    fn on_arrive_impl<const PROF: bool>(
+    fn on_arrive<const PROF: bool>(
         &mut self,
         key: EventKey,
         node: usize,
@@ -880,9 +717,9 @@ impl ShardRun<'_> {
         // disposition was precomputed per address range at engine build.
         // Classify, one table scan, straight-line accept → deliver — no
         // command dispatch, no northbridge walk. Bit-identical effects
-        // to the general path below (the determinism suite forces the
-        // lane off and diffs).
-        if self.flat_lane {
+        // to the general path below, which monitored runs take (the
+        // determinism suite diffs the two).
+        if !self.record {
             if let Some(addr) = packet.flat_addr() {
                 if let Some(plan) = self.flat[ln].lookup(addr) {
                     let t_route = self.tick::<PROF>();
@@ -1125,11 +962,11 @@ const ABORT: u64 = u64::MAX - 1;
 /// One PDES worker: loops epochs over its contiguous group of shards
 /// until the horizon goes to a sentinel. Returns `true` on quiescence.
 #[cfg_attr(lint, tcc_no_panic)]
-fn run_worker(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
+fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
     loop {
         let mut min = u64::MAX;
         for run in runs.iter_mut() {
-            run.drain_mail_timed();
+            run.drain_mail::<PROF>();
             if let Some(t) = run.shard.queue.peek_time() {
                 min = min.min(t.picos());
             }
@@ -1176,8 +1013,8 @@ fn run_worker(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
             {
                 continue;
             }
-            delta += run.run_epoch(SimTime(horizon));
-            run.publish_outboxes_timed();
+            delta += run.run_epoch::<PROF>(SimTime(horizon));
+            run.publish_outboxes::<PROF>();
         }
         coord.events.fetch_add(delta, Ordering::Relaxed);
         coord.barrier.wait(); // B0: epoch done, all sends mailed/published.
@@ -1212,18 +1049,16 @@ fn pair_mut<'r, 'a>(
 /// cross-shard influence is impossible below the horizon; the
 /// interleaving *across* shards differs, but no event can observe it.
 ///
-/// Cross-shard sends skip the mailbox machinery entirely: the runs are
-/// built in `direct` mode, so sends stage in the per-destination
-/// buffers and the executive moves each batch straight into the peer's
-/// queue — no rings, no locks, no publish/take handshake.
+/// Cross-shard sends skip the mailbox machinery entirely: they stage in
+/// the per-destination outboxes and the executive moves each batch
+/// straight into the peer's queue — no rings, no publish/take handshake.
 #[cfg_attr(lint, tcc_no_panic)]
-fn run_sequential(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
+fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
     let n = runs.len();
     let mut mins = vec![u64::MAX; n];
     for (i, run) in runs.iter_mut().enumerate() {
-        // Boot-time mail only: with `direct` sends nothing touches a
-        // mailbox after this point.
-        run.drain_mail_timed();
+        // Boot-time mail only: nothing touches a ring after this point.
+        run.drain_mail::<PROF>();
         mins[i] = run.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
     }
     let la = lookahead.picos();
@@ -1251,11 +1086,10 @@ fn run_sequential(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
         // When the winner is the only shard with work, fall back to the
         // epoch horizon so the event budget keeps its old granularity.
         let base = if second == u64::MAX { best } else { second };
-        total += runs[bi].run_epoch(SimTime(base.saturating_add(la)));
+        total += runs[bi].run_epoch::<PROF>(SimTime(base.saturating_add(la)));
         // Hand staged cross-shard sends straight to their destination
         // queues, then refresh the touched minima (peeks are O(1)).
-        let clk = runs[bi].clock;
-        let t0 = clk.map_or(0, |c| c());
+        let t0 = runs[bi].tick::<PROF>();
         for k in 0..runs[bi].shard.out_peers.len() {
             let dst = runs[bi].shard.out_peers[k] as usize;
             if runs[bi].shard.outbox[dst].is_empty() {
@@ -1267,8 +1101,8 @@ fn run_sequential(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
             }
             mins[dst] = peer.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
         }
-        if let Some(c) = clk {
-            runs[bi].shard.profile.mailbox_ns += c().saturating_sub(t0);
+        if PROF {
+            runs[bi].shard.profile.mailbox_ns += runs[bi].tick::<PROF>().saturating_sub(t0);
         }
         mins[bi] = runs[bi]
             .shard
@@ -1281,7 +1115,11 @@ fn run_sequential(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
 /// Split the shard runs into `threads` contiguous groups and drive them
 /// with scoped workers (worker 0 runs on the caller's thread). Returns
 /// `true` on quiescence.
-fn run_threaded(runs: &mut [ShardRun<'_>], lookahead: Duration, threads: usize) -> bool {
+fn run_threaded<const PROF: bool>(
+    runs: &mut [ShardRun<'_>],
+    lookahead: Duration,
+    threads: usize,
+) -> bool {
     let coord = Coord {
         barrier: Barrier::new(threads),
         mins: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -1303,9 +1141,9 @@ fn run_threaded(runs: &mut [ShardRun<'_>], lookahead: Duration, threads: usize) 
         let (_, first) = iter.next().expect("at least one group");
         for (w, group) in iter {
             let coord = &coord;
-            s.spawn(move || run_worker(group, w, coord));
+            s.spawn(move || run_worker::<PROF>(group, w, coord));
         }
-        run_worker(first, 0, &coord);
+        run_worker::<PROF>(first, 0, &coord);
     });
     coord.horizon.load(Ordering::Acquire) == DONE
 }
@@ -1346,7 +1184,8 @@ fn replay_monitors(platform: &mut Platform, shards: &mut [Shard]) {
 #[derive(Debug)]
 pub struct EventEngine {
     shards: Vec<Shard>,
-    mail: Mailboxes,
+    /// Cross-shard batch rings, `rings[src][dst]` (see [`EventRing`]).
+    rings: Vec<Vec<Option<EventRing>>>,
     /// Global flow index → (shard, shard-local flow index), in
     /// registration order.
     flow_dir: Vec<(u32, u32)>,
@@ -1360,11 +1199,9 @@ pub struct EventEngine {
     lookahead: Duration,
     drain: Duration,
     threads: usize,
-    backend: QueueBackend,
     /// Per-node flat dispatch tables, rebuilt at engine construction
     /// (i.e. once per train), indexed like `platform.nodes`.
     flat: Vec<FlatTable>,
-    flat_lane: bool,
     /// Global node index → owning shard id.
     shard_of: Vec<u32>,
     profile_clock: Option<fn() -> u64>,
@@ -1430,7 +1267,7 @@ impl EventEngine {
                 ports,
                 drain_free: vec![SimTime::ZERO; procs],
                 flows: Vec::new(),
-                queue: EventQueue::with_backend(options.backend),
+                queue: EventQueue::new(),
                 seq: 0,
                 now: SimTime::ZERO,
                 events: 0,
@@ -1452,28 +1289,19 @@ impl EventEngine {
                 }
             }
         }
-        let rings = match options.mailbox {
-            MailboxKind::Ring => (0..nshards)
-                .map(|src| {
-                    (0..nshards)
-                        .map(|dst| wired[src][dst].then(BatchRing::new))
-                        .collect()
-                })
-                .collect(),
-            MailboxKind::Mutex => Vec::new(),
-        };
+        let rings = (0..nshards)
+            .map(|src| {
+                (0..nshards)
+                    .map(|dst| wired[src][dst].then(BatchRing::new))
+                    .collect()
+            })
+            .collect();
         // A zero lookahead would make the horizon equal the minimum and
         // process nothing; one picosecond still admits the minimum event.
         let lookahead = Duration(lookahead.picos().max(1));
         EventEngine {
             shards,
-            mail: Mailboxes {
-                kind: options.mailbox,
-                inboxes: (0..nshards)
-                    .map(|_| Inbox(Mutex::new(Vec::new())))
-                    .collect(),
-                rings,
-            },
+            rings,
             flow_dir: Vec::new(),
             commits_log: Vec::new(),
             win_next: vec![WIN_BASE; n],
@@ -1482,9 +1310,7 @@ impl EventEngine {
             lookahead,
             drain,
             threads: options.threads.max(1),
-            backend: options.backend,
             flat: platform.nodes.iter().map(|n| n.nb.flat_table()).collect(),
-            flat_lane: options.flat_lane,
             shard_of: (0..n).map(|node| (node / procs) as u32).collect(),
             profile_clock: options.profile_clock,
             profile: StageProfile::default(),
@@ -1502,9 +1328,6 @@ impl EventEngine {
     pub fn options(&self) -> EngineOptions {
         EngineOptions {
             threads: self.threads,
-            backend: self.backend,
-            mailbox: self.mail.kind,
-            flat_lane: self.flat_lane,
             profile_clock: self.profile_clock,
         }
     }
@@ -1665,13 +1488,8 @@ impl EventEngine {
         let drain = self.drain;
         let lookahead = self.lookahead;
         let threads = self.threads.min(self.shards.len()).max(1);
-        let mail = &self.mail;
+        let rings = &self.rings;
         let clock = self.profile_clock;
-        // Monitor runs take the general path for every packet so the
-        // recorded stream is exactly what `deliver_routed` handled;
-        // correctness never depends on this (the lanes are bit-identical)
-        // but it keeps the monitors' view trivially canonical.
-        let flat_lane = self.flat_lane && !record;
         let shard_of = &self.shard_of;
         let mut runs: Vec<ShardRun<'_>> = self
             .shards
@@ -1681,20 +1499,19 @@ impl EventEngine {
             .map(|((shard, nodes), flat)| ShardRun {
                 shard,
                 nodes,
-                mail,
+                rings,
                 shard_of,
                 drain,
                 record,
                 flat,
-                flat_lane,
-                direct: threads == 1,
                 clock,
             })
             .collect();
-        let clean = if threads == 1 {
-            run_sequential(&mut runs, lookahead)
-        } else {
-            run_threaded(&mut runs, lookahead, threads)
+        let clean = match (threads, clock.is_some()) {
+            (1, false) => run_sequential::<false>(&mut runs, lookahead),
+            (1, true) => run_sequential::<true>(&mut runs, lookahead),
+            (_, false) => run_threaded::<false>(&mut runs, lookahead, threads),
+            (_, true) => run_threaded::<true>(&mut runs, lookahead, threads),
         };
         drop(runs);
         assert!(
@@ -1908,7 +1725,7 @@ impl FlowReport {
 ///
 /// Derives `Eq`: two reports are equal iff every counter, timestamp and
 /// per-flow record matches exactly — which is what the determinism suite
-/// asserts across thread counts and queue backends.
+/// asserts across thread counts and wire lanes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadReport {
     pub flows: Vec<FlowReport>,
@@ -2138,10 +1955,16 @@ mod tests {
 
     /// The whole point of the conservative executive: running the two
     /// shards of a pair on two real threads must produce byte-for-byte
-    /// the commits, clock and event count of the inline path — on both
-    /// queue backends.
+    /// the commits, clock and event count of the inline path. Profiling
+    /// is not a semantic either: the profiled instantiation of each
+    /// executive gives the same results and fills every stage.
     #[test]
     fn threaded_run_is_bit_identical_to_sequential() {
+        // A deterministic stand-in for a wall clock: every read advances.
+        fn counter_clock() -> u64 {
+            static NOW: AtomicU64 = AtomicU64::new(0);
+            NOW.fetch_add(1, Ordering::Relaxed)
+        }
         let run = |options: EngineOptions| {
             let (mut platform, mut engine) =
                 booted_pair_engine_with(LinkConfig::PROTOTYPE, DEFAULT_DRAIN, options);
@@ -2149,27 +1972,42 @@ mod tests {
             engine.add_flow(&mut platform, 1, 0, 300 * 64);
             engine.run_quiescent(&mut platform);
             engine.assert_quiescent_credits();
-            (
+            let outcome = (
                 engine.commits().to_vec(),
                 engine.now(),
                 engine.events_handled(),
                 engine.flow_reports(),
-            )
+            );
+            (outcome, engine.stage_profile())
         };
-        let baseline = run(EngineOptions::default());
-        for backend in QueueBackend::ALL {
-            for mailbox in MailboxKind::ALL {
-                for threads in [1, 2, 4] {
-                    let got = run(EngineOptions {
-                        threads,
-                        backend,
-                        mailbox,
-                        ..EngineOptions::default()
-                    });
-                    assert_eq!(
-                        got, baseline,
-                        "{backend:?} x {mailbox:?} x {threads} threads diverged from sequential"
+        let (baseline, _) = run(EngineOptions::default());
+        for threads in [1, 2, 4] {
+            for profile_clock in [None, Some(counter_clock as fn() -> u64)] {
+                let (got, p) = run(EngineOptions {
+                    threads,
+                    profile_clock,
+                });
+                let profiled = profile_clock.is_some();
+                assert_eq!(
+                    got, baseline,
+                    "{threads} threads (profiled: {profiled}) diverged from sequential"
+                );
+                if profiled {
+                    assert!(
+                        [
+                            p.queue_ns,
+                            p.mailbox_ns,
+                            p.exec_ns,
+                            p.route_ns,
+                            p.credit_ns,
+                            p.deliver_ns,
+                            p.sampled_events,
+                        ]
+                        .iter()
+                        .all(|&v| v > 0),
+                        "{threads} threads: a stage stayed empty: {p:?}"
                     );
+                    assert_eq!(p.profiled_events, baseline.2);
                 }
             }
         }

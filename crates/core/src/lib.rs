@@ -33,12 +33,11 @@ pub mod sim;
 
 pub use builder::TcclusterBuilder;
 pub use engine::{
-    EngineKind, EngineOptions, EventEngine, FlowReport, MailboxKind, StageProfile, TrafficPattern,
+    EngineKind, EngineOptions, EventEngine, FlowReport, StageProfile, TrafficPattern,
     WorkloadReport,
 };
 pub use shm_cluster::{NodeCtx, ShmCluster};
 pub use sim::SimCluster;
-pub use tcc_fabric::event::QueueBackend;
 
 // Re-export the substrate crates under one roof for downstream users.
 pub use tcc_fabric as fabric;

@@ -38,7 +38,7 @@ pub struct SimCluster {
     commits: Vec<DeliveredWrite>,
     /// Which timing engine paces the fabric.
     engine: EngineKind,
-    /// Executive options for the event engine (threads, queue backend),
+    /// Executive options for the event engine (threads, profile clock),
     /// preserved across `reset_timebase` rebuilds.
     options: EngineOptions,
     /// The event-driven fabric, present iff `engine == EventDriven`. The
@@ -85,7 +85,7 @@ impl SimCluster {
     }
 
     /// [`SimCluster::boot_engine`] with explicit event-executive options
-    /// (worker threads, queue backend). The options persist across
+    /// (worker threads, profile clock). The options persist across
     /// [`SimCluster::reset_timebase`] rebuilds.
     pub fn boot_engine_opts(
         spec: ClusterSpec,

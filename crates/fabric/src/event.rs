@@ -14,47 +14,21 @@
 //!
 //! # Arena-pooled storage
 //!
-//! Event payloads never move through the ordering structures. Every
+//! Event payloads never move through the ordering structure. Every
 //! scheduled event is parked in a slab arena owned by the queue and
-//! addressed by a `u32` handle; the backends order bare
-//! `(EventKey, u32)` pairs — 32 bytes, `Copy`, no drop glue — so a heap
-//! sift or a bucket migration shuffles handles, not payloads. Slots are
-//! recycled through a free list, which keeps the steady state of a
-//! schedule/pop loop allocation-free (the `alloc_regression` suite
-//! counts).
+//! addressed by a `u32` handle; the heap orders bare `(EventKey, u32)`
+//! pairs — 32 bytes, `Copy`, no drop glue — so a sift shuffles handles,
+//! not payloads. Slots are recycled through a free list, which keeps the
+//! steady state of a schedule/pop loop allocation-free (the
+//! `alloc_regression` suite counts).
 //!
-//! # Backends
+//! # One structure
 //!
-//! Four backends implement the same contract. Because pop order is a
-//! pure function of the keys, every backend yields the bit-identical
-//! event sequence — the choice is purely a constant-factor decision.
-//!
-//! * [`QueueBackend::Auto`] (the default) — population-adaptive: runs
-//!   the ladder while the queue is small and migrates to the calendar
-//!   when the population sustains above the hold-model crossover
-//!   (~64 pending events), and back when it collapses. Fabric shards
-//!   under the sharded engine stay in the ladder band; coarse
-//!   single-queue users with large populations get the calendar.
-//! * [`QueueBackend::Ladder`] — a two-tier ladder queue:
-//!   a *bottom* tier holds the imminent events sorted ascending behind a
-//!   head cursor (dequeue advances the cursor, O(1)), a *top* tier holds
-//!   everything past the bottom's horizon unsorted with an always-valid
-//!   minimum hint. Inserts into the bottom are a binary search plus a
-//!   short shift — and fabric events are overwhelmingly scheduled *later*
-//!   than everything pending, which appends them for free. When the
-//!   bottom drains, one sweep moves the next window of top events down
-//!   and sorts them, with the window width adapting to the observed
-//!   event density. `pop_keyed_before` is O(1) when it refuses: the
-//!   bottom tail / top hint answer without any scan.
-//! * [`QueueBackend::Calendar`] — a Brown-style calendar queue: events
-//!   hash into `width`-picosecond buckets mod the bucket count, dequeue
-//!   scans the bucket of the current "day" for the minimum key, and the
-//!   structure resizes itself as the population grows or shrinks. Kept
-//!   for differential testing and as the better structure should a
-//!   workload produce very large, uniformly banded populations.
-//! * [`QueueBackend::BinaryHeap`] — the original `BinaryHeap` engine,
-//!   kept as the canonical reference (the determinism suite runs every
-//!   workload on all backends and asserts bit-identical results).
+//! The ordering structure is `std::collections::BinaryHeap`. Ladder,
+//! calendar and population-adaptive backends were measured against it
+//! on the fabric workloads and never won outside the run-to-run spread,
+//! so the heap is both the production queue and its own oracle; the
+//! randomized test below checks it against a sorted-`Vec` model.
 
 use crate::time::{Duration, SimTime};
 use std::cmp::Reverse;
@@ -71,46 +45,6 @@ pub struct EventKey {
     pub src: u32,
     /// Source-local sequence number; unique per `src`.
     pub seq: u64,
-}
-
-/// Which implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Population-adaptive default: runs the ladder while the queue is
-    /// small and migrates to the calendar when the population sustains
-    /// above the band where the ladder's refill sweep stops paying (the
-    /// hold-model crossover), and back on collapse. Pop order is a pure
-    /// function of the keys on every backend, so the migrations are
-    /// invisible to results.
-    #[default]
-    Auto,
-    /// Two-tier ladder queue (O(1) pop, near-O(1) insert for the
-    /// schedule-soon pattern fabric engines produce).
-    Ladder,
-    /// Brown calendar queue (O(1) amortised for banded populations).
-    Calendar,
-    /// Binary heap (O(log n)); the differential-testing reference.
-    BinaryHeap,
-}
-
-impl QueueBackend {
-    /// Every backend, for differential tests and benches.
-    pub const ALL: [QueueBackend; 4] = [
-        QueueBackend::Ladder,
-        QueueBackend::Calendar,
-        QueueBackend::BinaryHeap,
-        QueueBackend::Auto,
-    ];
-
-    /// Short stable name (bench JSON keys, test labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Auto => "auto",
-            QueueBackend::Ladder => "ladder",
-            QueueBackend::Calendar => "calendar",
-            QueueBackend::BinaryHeap => "binary_heap",
-        }
-    }
 }
 
 /// Slab arena of parked event payloads: `u32` handles in, payloads out.
@@ -133,7 +67,7 @@ impl<E> Arena<E> {
     /// Park `event`, returning its handle.
     ///
     /// Deliberate panic (reviewed): handles are u32 by layout contract
-    /// with every backend; 2^32 simultaneously-parked events means the
+    /// with the heap; 2^32 simultaneously-parked events means the
     /// event budget check has already failed and memory is gone —
     /// truncating the handle instead would silently alias two events.
     #[cfg_attr(lint, tcc_no_alloc, tcc_panic_ok, tcc_acquires(arena_handle))]
@@ -155,7 +89,7 @@ impl<E> Arena<E> {
     /// Reclaim the payload behind `handle`; the slot returns to the free
     /// list.
     ///
-    /// Deliberate panic (reviewed): an empty slot here means a backend
+    /// Deliberate panic (reviewed): an empty slot here means the heap
     /// double-popped a handle — continuing would replay or drop an event
     /// and silently break bit-determinism, the one guarantee the whole
     /// queue exists to keep.
@@ -169,23 +103,14 @@ impl<E> Arena<E> {
     }
 }
 
-/// A time-ordered queue of events of type `E`, generic over backend.
-/// Payloads live in the queue's [`Arena`]; the backend orders
-/// `(EventKey, u32)` handle pairs.
+/// A time-ordered queue of events of type `E`. Payloads live in the
+/// queue's [`Arena`]; the heap orders `(EventKey, u32)` handle pairs.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     arena: Arena<E>,
-    inner: Inner,
+    heap: BinaryHeap<Reverse<(EventKey, u32)>>,
     next_seq: u64,
     scheduled_total: u64,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Heap(HeapQueue),
-    Calendar(CalendarQueue),
-    Ladder(LadderQueue),
-    Auto(AutoQueue),
 }
 
 impl<E> Default for EventQueue<E> {
@@ -195,41 +120,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// A queue on the default backend (population-adaptive).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// A queue on the classic binary-heap backend.
-    #[must_use]
-    pub fn binary_heap() -> Self {
-        Self::with_backend(QueueBackend::BinaryHeap)
-    }
-
-    #[must_use]
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let inner = match backend {
-            QueueBackend::BinaryHeap => Inner::Heap(HeapQueue::new()),
-            QueueBackend::Calendar => Inner::Calendar(CalendarQueue::new()),
-            QueueBackend::Ladder => Inner::Ladder(LadderQueue::new()),
-            QueueBackend::Auto => Inner::Auto(AutoQueue::new()),
-        };
         EventQueue {
             arena: Arena::new(),
-            inner,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             scheduled_total: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.inner {
-            Inner::Heap(_) => QueueBackend::BinaryHeap,
-            Inner::Calendar(_) => QueueBackend::Calendar,
-            Inner::Ladder(_) => QueueBackend::Ladder,
-            Inner::Auto(_) => QueueBackend::Auto,
         }
     }
 
@@ -249,19 +146,14 @@ impl<E> EventQueue<E> {
     /// Schedule `event` under an explicit key. The sharded engine uses
     /// this to stamp events with `(shard, shard-local seq)` so merge
     /// order is deterministic across thread counts. Keys must be unique.
-    // tcc_transfer_ok: the parked handle is owned by the backend until a
+    // tcc_transfer_ok: the parked handle is owned by the heap until a
     // pop reclaims it through `Arena::take` — held-at-exit is the point.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(arena_handle), tcc_transfer_ok)]
     pub fn schedule_keyed(&mut self, key: EventKey, event: E) {
         self.scheduled_total += 1;
         let h = self.arena.park(event);
-        match &mut self.inner {
-            Inner::Heap(q) => q.push(key, h),
-            Inner::Calendar(q) => q.insert(key, h),
-            Inner::Ladder(q) => q.insert(key, h),
-            Inner::Auto(q) => q.insert(key, h),
-        }
+        self.heap.push(Reverse((key, h)));
     }
 
     /// Pop the earliest event, returning its firing time.
@@ -272,760 +164,38 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event together with its full key.
     #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed(&mut self) -> Option<(EventKey, E)> {
-        let (key, h) = match &mut self.inner {
-            Inner::Heap(q) => q.pop()?,
-            Inner::Calendar(q) => q.pop()?,
-            Inner::Ladder(q) => q.pop()?,
-            Inner::Auto(q) => q.pop()?,
-        };
+        let Reverse((key, h)) = self.heap.pop()?;
         Some((key, self.arena.take(h)))
     }
 
     /// Pop the earliest event only if it fires strictly before `limit` —
-    /// the epoch primitive of the sharded engine. The refusal path is
-    /// O(1) on the ladder and memoised-O(1) on the calendar: when the
-    /// pending minimum already lies at or past the horizon the call
-    /// returns without scanning anything.
+    /// the epoch primitive of the sharded engine. A refusal is one peek.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed_before(&mut self, limit: SimTime) -> Option<(EventKey, E)> {
-        let (key, h) = match &mut self.inner {
-            Inner::Heap(q) => {
-                if q.peek_key()?.at >= limit {
-                    return None;
-                }
-                q.pop()?
-            }
-            Inner::Calendar(q) => q.pop_before(limit)?,
-            Inner::Ladder(q) => q.pop_before(limit)?,
-            Inner::Auto(q) => q.pop_before(limit)?,
-        };
-        Some((key, self.arena.take(h)))
+        let Reverse((next, _)) = self.heap.peek()?;
+        if next.at >= limit {
+            return None;
+        }
+        self.pop_keyed()
     }
 
-    /// Time of the earliest pending event. Takes `&mut self` so the
-    /// calendar backend can memoise the located minimum; the ladder and
-    /// heap answer from an always-valid hint without any scan.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Heap(q) => q.peek_key().map(|k| k.at),
-            Inner::Calendar(q) => q.peek_key().map(|k| k.at),
-            Inner::Ladder(q) => q.peek_key().map(|k| k.at),
-            Inner::Auto(q) => q.peek_key().map(|k| k.at),
-        }
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((k, _))| k.at)
     }
 
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(q) => q.len(),
-            Inner::Calendar(q) => q.len(),
-            Inner::Ladder(q) => q.len(),
-            Inner::Auto(q) => q.len(),
-        }
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled (for run statistics).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
-    }
-}
-
-// ───────────────────────── binary-heap backend ─────────────────────────
-
-#[derive(Debug)]
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<(EventKey, u32)>>,
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn push(&mut self, key: EventKey, handle: u32) {
-        self.heap.push(Reverse((key, handle)));
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        self.heap.pop().map(|Reverse(kh)| kh)
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse((k, _))| *k)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-// ───────────────────────── ladder backend ──────────────────────────────
-
-/// Two-tier ladder queue over `(EventKey, u32)` handle pairs.
-///
-/// * `bottom` — every pending event with `at <= bot_end`, sorted
-///   **ascending** with a head cursor: the live events are
-///   `bottom[bot_head..]`, the minimum is `bottom[bot_head]`, and `pop`
-///   advances the cursor (O(1), no shifting). Inserts binary-search the
-///   live region; an event *later* than everything pending — the
-///   dominant pattern in a fabric hot loop, where each flow schedules
-///   its next hop at `now + Δ` while the rest of the window fires before
-///   it — is a plain `Vec::push`. The dead prefix is compacted away once
-///   it outweighs the live region, so cursor advance stays amortised
-///   O(1) in both time and space.
-/// * `top` — events with `at > bot_end`, unsorted, with `top_min`
-///   tracking the minimum key. `top_min` is maintained on insert (one
-///   compare) and re-derived during the refill sweep, so it is *always
-///   valid* — the lazy min-hint that lets the epoch executive bound a
-///   shard's next event time without touching bucket storage.
-///
-/// When `bottom` runs dry, `refill` advances `bot_end` to
-/// `top_min + width`, sweeps the qualifying events down in one pass and
-/// sorts them (each event is sorted exactly once on its way through the
-/// bottom). `width` adapts by feedback — halved when a sweep moves more
-/// than [`REFILL_HI`] events, doubled when it moves fewer than
-/// [`REFILL_LO`] — which keeps sweep cost and sort depth bounded for
-/// clustered *and* sparse populations without a rung hierarchy.
-#[derive(Debug)]
-struct LadderQueue {
-    /// Imminent events, ascending; live region is `bottom[bot_head..]`.
-    bottom: Vec<(EventKey, u32)>,
-    /// First live index into `bottom`; everything before it was popped.
-    bot_head: usize,
-    /// Far events (`at > bot_end`), unsorted.
-    top: Vec<(EventKey, u32)>,
-    /// Minimum key in `top`; `None` iff `top` is empty. Always valid.
-    top_min: Option<EventKey>,
-    /// Inclusive upper bound (picoseconds) of the bottom tier's window.
-    bot_end: u64,
-    /// Current refill window width in picoseconds.
-    width: u64,
-}
-
-/// Initial window: 2^14 ps ≈ 16 ns — the serialisation+drain band of one
-/// fabric hop, so fresh queues start near the adapted state.
-const INIT_LADDER_WIDTH: u64 = 1 << 14;
-/// Refill sizes outside [`REFILL_LO`], [`REFILL_HI`] retune the width.
-const REFILL_LO: usize = 8;
-const REFILL_HI: usize = 64;
-/// Width bounds: 2^6 ps .. 2^40 ps (the calendar uses the same clamp).
-const MIN_WIDTH: u64 = 1 << 6;
-const MAX_WIDTH: u64 = 1 << 40;
-/// Live-bottom length that triggers a spill back to the top tier.
-const SPILL_LEN: usize = 128;
-
-impl LadderQueue {
-    fn new() -> Self {
-        LadderQueue {
-            bottom: Vec::new(),
-            bot_head: 0,
-            top: Vec::new(),
-            top_min: None,
-            bot_end: 0,
-            width: INIT_LADDER_WIDTH,
-        }
-    }
-
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn insert(&mut self, key: EventKey, handle: u32) {
-        if self.bottom.is_empty() && self.top.is_empty() {
-            // Queue fully drained: re-anchor the window at the new event
-            // so a workload that jumped far ahead (or back) starts clean.
-            self.bot_end = key.at.0.saturating_add(self.width);
-            self.bottom.push((key, handle));
-            return;
-        }
-        if key.at.0 <= self.bot_end {
-            // Ascending order, append fast path first: an event later
-            // than everything live (the hot-loop common case) is a plain
-            // push. Otherwise binary-search the live region; events
-            // before `bottom[bot_head]` cannot exist (time flows
-            // forward), so the dead prefix never needs touching.
-            if self.bottom.last().is_none_or(|e| e.0 < key) {
-                self.bottom.push((key, handle));
-            } else {
-                let live = &self.bottom[self.bot_head..];
-                let idx = self.bot_head + live.partition_point(|e| e.0 < key);
-                self.bottom.insert(idx, (key, handle));
-            }
-            // A window that swallowed the whole population degenerates
-            // into a sorted vec with O(n) mid-inserts: spill the latest
-            // half back to the top and pull the window in (amortised
-            // O(1) — a spill of k events pays for k prior inserts). The
-            // boundary must sit between *distinct* times, else a future
-            // same-instant insert could land below a spilled key that
-            // precedes it in the total order.
-            if self.bottom.len() - self.bot_head > SPILL_LEN {
-                let mut keep = self.bot_head + (self.bottom.len() - self.bot_head) / 2;
-                while keep < self.bottom.len()
-                    && self.bottom[keep].0.at == self.bottom[keep - 1].0.at
-                {
-                    keep += 1;
-                }
-                if keep < self.bottom.len() {
-                    for &(k, h) in &self.bottom[keep..] {
-                        self.top.push((k, h));
-                        if self.top_min.is_none_or(|m| k < m) {
-                            self.top_min = Some(k);
-                        }
-                    }
-                    // The boundary search guarantees a strictly smaller
-                    // time before `keep`, so the spilled minimum is >= 1.
-                    self.bot_end = self.bottom[keep].0.at.0.saturating_sub(1);
-                    self.bottom.truncate(keep);
-                    self.width = (self.width / 2).max(MIN_WIDTH);
-                }
-            }
-        } else {
-            self.top.push((key, handle));
-            if self.top_min.is_none_or(|m| key < m) {
-                self.top_min = Some(key);
-            }
-        }
-    }
-
-    /// Move the next window of top events into the bottom and sort it.
-    /// Called only when the bottom is dry and the top is not.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn refill(&mut self) {
-        debug_assert!(self.bottom.is_empty() && !self.top.is_empty());
-        debug_assert_eq!(self.bot_head, 0);
-        // The hint is maintained by every push into the top; if it were
-        // ever lost, re-derive it with one cold sweep rather than abort.
-        let floor = match self.top_min {
-            Some(m) => m,
-            None => match self.top.iter().map(|&(k, _)| k).min() {
-                Some(m) => m,
-                None => return,
-            },
-        };
-        self.bot_end = floor.at.0.saturating_add(self.width);
-        // One sweep: qualifying events move down (swap_remove keeps the
-        // sweep O(n)), the survivors' minimum is re-derived in place.
-        let mut new_min: Option<EventKey> = None;
-        let mut i = 0;
-        while i < self.top.len() {
-            let (k, h) = self.top[i];
-            if k.at.0 <= self.bot_end {
-                self.bottom.push((k, h));
-                self.top.swap_remove(i);
-            } else {
-                if new_min.is_none_or(|m| k < m) {
-                    new_min = Some(k);
-                }
-                i += 1;
-            }
-        }
-        self.top_min = new_min;
-        // Ascending: pops advance the head cursor in key order.
-        self.bottom.sort_unstable();
-        // Feedback width adaptation for the next sweep.
-        let moved = self.bottom.len();
-        if moved > REFILL_HI {
-            self.width = (self.width / 2).max(MIN_WIDTH);
-        } else if moved < REFILL_LO {
-            self.width = self.width.saturating_mul(2).min(MAX_WIDTH);
-        }
-        debug_assert!(moved > 0, "window starts at the top minimum");
-    }
-
-    /// Take the live minimum and advance the cursor. The dead prefix is
-    /// dropped when the live region empties (free) or when it outweighs
-    /// the live region (one compaction memmove, amortised O(1) per pop).
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_live(&mut self) -> (EventKey, u32) {
-        let e = self.bottom[self.bot_head];
-        self.bot_head += 1;
-        if self.bot_head == self.bottom.len() {
-            self.bottom.clear();
-            self.bot_head = 0;
-        } else if self.bot_head >= 64 && self.bot_head * 2 >= self.bottom.len() {
-            self.bottom.drain(..self.bot_head);
-            self.bot_head = 0;
-        }
-        e
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        if self.bottom.is_empty() {
-            if self.top.is_empty() {
-                return None;
-            }
-            self.refill();
-        }
-        Some(self.pop_live())
-    }
-
-    /// Pop the minimum only if it fires strictly before `limit`. The
-    /// refusal path never scans: the live head or the top hint decides
-    /// in one comparison.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u32)> {
-        if let Some(&(k, _)) = self.bottom.get(self.bot_head) {
-            if k.at >= limit {
-                return None;
-            }
-            return Some(self.pop_live());
-        }
-        // Bottom dry: the top hint bounds the minimum from below, so a
-        // hint at/past the horizon refuses without sweeping.
-        if self.top_min.is_none_or(|m| m.at >= limit) {
-            return None;
-        }
-        self.refill();
-        match self.bottom.get(self.bot_head) {
-            Some(&(k, _)) if k.at < limit => Some(self.pop_live()),
-            _ => None,
-        }
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        match self.bottom.get(self.bot_head) {
-            Some(&(k, _)) => Some(k),
-            // The top minimum IS the queue minimum when the bottom is
-            // dry — no refill needed to answer a peek.
-            None => self.top_min,
-        }
-    }
-
-    fn len(&self) -> usize {
-        (self.bottom.len() - self.bot_head) + self.top.len()
-    }
-
-    /// Move every pending pair out (order unspecified), leaving the
-    /// queue empty and ready to re-anchor on the next insert. Backend
-    /// migration support.
-    fn drain_entries(&mut self, out: &mut Vec<(EventKey, u32)>) {
-        out.extend(self.bottom.drain(self.bot_head..));
-        self.bottom.clear();
-        self.bot_head = 0;
-        out.append(&mut self.top);
-        self.top_min = None;
-    }
-}
-
-// ───────────────────────── calendar backend ────────────────────────────
-
-/// A Brown calendar queue over `(EventKey, u32)` handle pairs. Buckets
-/// are unsorted vectors; an event at time `t` lives in bucket
-/// `(t / width) % nbuckets`. Dequeue walks buckets from the cursor,
-/// taking the minimum-key event whose time falls inside the bucket's
-/// current "day"; after scanning a full year without a hit it falls back
-/// to a direct min search (events far beyond the calendar horizon).
-///
-/// The queue resizes (doubling/halving the bucket count and re-deriving
-/// the bucket width from the observed spread of pending events) when the
-/// population crosses 2×/0.5× the bucket count, which keeps the expected
-/// bucket occupancy — and therefore schedule/pop cost — O(1) for the
-/// banded distributions discrete-event fabrics produce.
-#[derive(Debug)]
-struct CalendarQueue {
-    buckets: Vec<Vec<(EventKey, u32)>>,
-    /// Picoseconds per bucket (power of two, so the hash is a shift).
-    width_shift: u32,
-    /// `buckets.len() - 1`; bucket count is a power of two.
-    mask: usize,
-    /// Bucket the dequeue cursor is standing on.
-    cursor: usize,
-    /// Start of the day the cursor bucket currently covers.
-    day_start: u64,
-    count: usize,
-    /// Memoised location `(bucket, index)` of the minimum-key event, or
-    /// `None` when unknown. A peek finds the minimum, a pop of the same
-    /// event reuses it; inserts keep it live (a smaller key simply takes
-    /// it over), so a peek/pop pair costs one bucket scan, not two.
-    min_hint: Option<(usize, usize)>,
-    /// Excess `find_min` scan work accumulated since the last width
-    /// (re-)derivation. Resizes re-derive the width from the observed
-    /// event spread, but a steady population never resizes — so a stale
-    /// width (all events aliased into a day or two) would persist
-    /// forever. Once the excess outweighs a few calendar years, the
-    /// width is re-derived in place.
-    waste: usize,
-    /// Spare bucket storage kept across resizes so steady-state churn
-    /// allocates nothing.
-    spare: Vec<Vec<(EventKey, u32)>>,
-}
-
-/// Initial bucket width: 2^12 ps ≈ 4 ns — the low edge of the wire
-/// serialisation band, so freshly built queues start near the adapted
-/// state for fabric workloads.
-const INIT_WIDTH_SHIFT: u32 = 12;
-const INIT_BUCKETS: usize = 16;
-
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..INIT_BUCKETS).map(|_| Vec::new()).collect(),
-            width_shift: INIT_WIDTH_SHIFT,
-            mask: INIT_BUCKETS - 1,
-            cursor: 0,
-            day_start: 0,
-            count: 0,
-            min_hint: None,
-            waste: 0,
-            spare: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, at: SimTime) -> usize {
-        ((at.0 >> self.width_shift) as usize) & self.mask
-    }
-
-    /// Insert under `key`. Amortised O(1): a bucket index computation and
-    /// an append; the occupancy-triggered `resize` is the only non-hot
-    /// step and recycles bucket storage.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn insert(&mut self, key: EventKey, handle: u32) {
-        // An event earlier than the cursor's day (legal: ties with the
-        // current instant, or a sharded merge delivering work at the
-        // epoch floor) must rewind the cursor so dequeue sees it.
-        if key.at.0 < self.day_start {
-            self.day_start = (key.at.0 >> self.width_shift) << self.width_shift;
-            self.cursor = self.bucket_of(key.at);
-        }
-        let b = self.bucket_of(key.at);
-        self.buckets[b].push((key, handle));
-        // Bucket pushes never move existing entries, so a live hint stays
-        // valid; it only changes hands if the new key is smaller (keys
-        // are unique, so `<` suffices).
-        self.min_hint = match self.min_hint {
-            None if self.count == 0 => Some((b, self.buckets[b].len() - 1)),
-            Some((hb, hi)) if key < self.buckets[hb][hi].0 => Some((b, self.buckets[b].len() - 1)),
-            h => h,
-        };
-        self.count += 1;
-        if self.count > 2 * self.buckets.len() && self.buckets.len() < (1 << 20) {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locate the minimum-key event: walk day buckets from the cursor for
-    /// at most one year (each day's events can only live in its own
-    /// bucket, so the first day with an event holds the minimum), falling
-    /// back to a direct sweep for sparse far-future populations.
-    /// Returns the location plus the scan work spent finding it: dry
-    /// day-buckets walked and entries examined. A well-tuned calendar
-    /// answers in O(1) work; sustained excess is the staleness signal
-    /// `find_min_cached` feeds the width retune.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn find_min(&self) -> (Option<(usize, usize)>, usize) {
-        if self.count == 0 {
-            return (None, 0);
-        }
-        let width = 1u64 << self.width_shift;
-        let nb = self.buckets.len();
-        let mut work = 0usize;
-        for step in 0..nb {
-            let b = (self.cursor + step) & self.mask;
-            let day_end = self
-                .day_start
-                .saturating_add((step as u64 + 1).saturating_mul(width));
-            let bucket = &self.buckets[b];
-            work += bucket.len().max(1);
-            let mut best: Option<usize> = None;
-            for (i, (k, _)) in bucket.iter().enumerate() {
-                if k.at.0 < day_end {
-                    best = match best {
-                        Some(j) if bucket[j].0 <= *k => Some(j),
-                        _ => Some(i),
-                    };
-                }
-            }
-            if let Some(i) = best {
-                return (Some((b, i)), work);
-            }
-        }
-        let mut out: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, (k, _)) in bucket.iter().enumerate() {
-                let better = match out {
-                    Some((ob, oi)) => *k < self.buckets[ob][oi].0,
-                    None => true,
-                };
-                if better {
-                    out = Some((b, i));
-                }
-            }
-        }
-        debug_assert!(out.is_some(), "count > 0 but no event found");
-        (out, nb + self.count)
-    }
-
-    /// [`find_min`](Self::find_min) through the memo: reuse a live hint,
-    /// otherwise scan and remember the answer. When the accumulated dry
-    /// walking says the bucket width no longer matches the population's
-    /// spread, re-derive it in place (a same-size `resize`) and rescan —
-    /// rare by construction, since the retune resets the waste meter.
-    fn find_min_cached(&mut self) -> Option<(usize, usize)> {
-        if self.min_hint.is_none() {
-            let (hit, work) = self.find_min();
-            // Up to a few touches per scan is the healthy steady state;
-            // only the excess counts toward staleness, so a well-tuned
-            // calendar never accumulates any.
-            self.waste += work.saturating_sub(3);
-            self.min_hint = hit;
-            if self.waste > 8 * self.buckets.len() && self.count >= 2 {
-                self.resize(self.buckets.len());
-                self.min_hint = self.find_min().0;
-            }
-        }
-        self.min_hint
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        let (b, i) = self.find_min_cached()?;
-        Some(self.commit_take(b, i))
-    }
-
-    /// Pop the minimum only if it fires strictly before `limit`; the
-    /// cursor stays put on a refusal and the hint stays live, so the next
-    /// call is O(1) (the gap is at most one epoch's lookahead band).
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u32)> {
-        let (b, i) = self.find_min_cached()?;
-        if self.buckets[b][i].0.at >= limit {
-            return None;
-        }
-        Some(self.commit_take(b, i))
-    }
-
-    /// Advance the cursor to the popped key's day and remove it.
-    fn commit_take(&mut self, b: usize, i: usize) -> (EventKey, u32) {
-        let at = self.buckets[b][i].0.at;
-        self.day_start = (at.0 >> self.width_shift) << self.width_shift;
-        self.cursor = self.bucket_of(at);
-        self.take(b, i)
-    }
-
-    /// Remove entry `i` of bucket `b` (order inside a bucket is
-    /// irrelevant, so `swap_remove`), shrinking the calendar if the
-    /// population collapsed.
-    fn take(&mut self, b: usize, i: usize) -> (EventKey, u32) {
-        // `swap_remove` relocates the bucket's last entry, and the
-        // minimum is gone either way: drop the hint.
-        self.min_hint = None;
-        let out = self.buckets[b].swap_remove(i);
-        self.count -= 1;
-        if self.count * 4 < self.buckets.len() && self.buckets.len() > INIT_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        out
-    }
-
-    fn peek_key(&mut self) -> Option<EventKey> {
-        self.find_min_cached().map(|(b, i)| self.buckets[b][i].0)
-    }
-
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Move every pending pair out (order unspecified), leaving the
-    /// calendar empty and re-anchored at time zero. Backend migration
-    /// support.
-    fn drain_entries(&mut self, out: &mut Vec<(EventKey, u32)>) {
-        for bucket in &mut self.buckets {
-            out.append(bucket);
-        }
-        self.count = 0;
-        self.min_hint = None;
-        self.waste = 0;
-        self.cursor = 0;
-        self.day_start = 0;
-    }
-
-    /// Rebuild with `nb` buckets (power of two) and a bucket width
-    /// re-derived from the observed event spread, re-hashing every
-    /// pending event. Amortised against the pushes/pops that triggered
-    /// it; bucket storage is recycled through `spare`.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    fn resize(&mut self, nb: usize) {
-        debug_assert!(nb.is_power_of_two());
-        self.min_hint = None; // every entry is about to be re-hashed
-        self.waste = 0; // the width below is fresh for this population
-
-        // Width adaptation: aim for the day span (nb * width) to cover
-        // the pending population's time spread, so events spread across
-        // the year instead of aliasing into the same day.
-        if self.count >= 2 {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for (k, _) in self.buckets.iter().flatten() {
-                lo = lo.min(k.at.0);
-                hi = hi.max(k.at.0);
-            }
-            // `hi`/`lo` span the full u64 picosecond range (SimTime::MAX
-            // is a legal "never" key), so the spread and its doubling
-            // must saturate rather than wrap.
-            let spread = hi.saturating_sub(lo).max(1);
-            // width ≈ 2 * spread / count, clamped to [2^6, 2^40] ps.
-            let target = (spread.saturating_mul(2) / self.count as u64).max(1);
-            self.width_shift = (63 - target.leading_zeros()).clamp(6, 40);
-        }
-        let mut old = std::mem::take(&mut self.buckets);
-        self.buckets = (0..nb)
-            .map(|_| self.spare.pop().unwrap_or_default())
-            .collect();
-        self.mask = nb - 1;
-        let mut min_at: Option<u64> = None;
-        for bucket in &old {
-            for (k, _) in bucket {
-                min_at = Some(min_at.map_or(k.at.0, |m| m.min(k.at.0)));
-            }
-        }
-        for mut bucket in old.drain(..) {
-            for (k, h) in bucket.drain(..) {
-                let b = self.bucket_of(k.at);
-                self.buckets[b].push((k, h));
-            }
-            self.spare.push(bucket);
-        }
-        let floor = min_at.unwrap_or(self.day_start);
-        self.day_start = (floor >> self.width_shift) << self.width_shift;
-        self.cursor = ((floor >> self.width_shift) as usize) & self.mask;
-    }
-}
-
-// ─────────────────────────── auto backend ──────────────────────────────
-
-/// Migrate ladder → calendar once the population has sat above this for
-/// a full streak. Set just below the band where the ladder's
-/// O(population) refill sweep starts losing to the calendar in the hold
-/// model (see `simspeed --hold`).
-const AUTO_UP_LEN: usize = 64;
-/// Migrate calendar → ladder once the population collapses below this
-/// for a full streak — the band where the ladder's sorted bottom wins.
-const AUTO_DOWN_LEN: usize = 24;
-/// Consecutive inserts the population must hold beyond a threshold
-/// before migrating: migration re-inserts every pending event, so the
-/// streak keeps that O(n) cost amortised and bursts from thrashing.
-const AUTO_STREAK: u32 = 256;
-
-/// The population-adaptive backend: a ladder while small, a calendar
-/// while large. Every backend pops in identical (total) key order, so
-/// which structure holds the events at any instant is unobservable in
-/// results — migration is purely a constant-factor decision, driven by
-/// the measured hold-model crossover.
-#[derive(Debug)]
-struct AutoQueue {
-    inner: AutoInner,
-    /// Consecutive inserts spent beyond the active migration threshold.
-    streak: u32,
-    /// Reusable migration buffer, so steady-state churn (even with
-    /// occasional migrations) stops allocating once warm.
-    scratch: Vec<(EventKey, u32)>,
-}
-
-#[derive(Debug)]
-enum AutoInner {
-    Ladder(LadderQueue),
-    Calendar(CalendarQueue),
-}
-
-impl AutoQueue {
-    fn new() -> Self {
-        AutoQueue {
-            inner: AutoInner::Ladder(LadderQueue::new()),
-            streak: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    #[cfg_attr(lint, tcc_no_panic)]
-    fn insert(&mut self, key: EventKey, handle: u32) {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => {
-                q.insert(key, handle);
-                if q.len() > AUTO_UP_LEN {
-                    self.streak += 1;
-                    if self.streak >= AUTO_STREAK {
-                        self.migrate();
-                    }
-                } else {
-                    self.streak = 0;
-                }
-            }
-            AutoInner::Calendar(q) => {
-                q.insert(key, handle);
-                if q.len() < AUTO_DOWN_LEN {
-                    self.streak += 1;
-                    if self.streak >= AUTO_STREAK {
-                        self.migrate();
-                    }
-                } else {
-                    self.streak = 0;
-                }
-            }
-        }
-    }
-
-    /// Rebuild the other structure from the pending population. The
-    /// calendar bulk-build passes through its occupancy resizes, so it
-    /// arrives with a width already derived from the real spread.
-    ///
-    /// Reviewed cold-path allocation: a migration happens at most once
-    /// per [`AUTO_STREAK`] inserts and recycles `scratch`, so its cost
-    /// (and its allocations) amortise to nothing over the inserts that
-    /// earned it.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    fn migrate(&mut self) {
-        self.streak = 0;
-        match &mut self.inner {
-            AutoInner::Ladder(q) => {
-                q.drain_entries(&mut self.scratch);
-                let mut c = CalendarQueue::new();
-                for &(k, h) in &self.scratch {
-                    c.insert(k, h);
-                }
-                self.inner = AutoInner::Calendar(c);
-            }
-            AutoInner::Calendar(q) => {
-                q.drain_entries(&mut self.scratch);
-                let mut l = LadderQueue::new();
-                for &(k, h) in &self.scratch {
-                    l.insert(k, h);
-                }
-                self.inner = AutoInner::Ladder(l);
-            }
-        }
-        self.scratch.clear();
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.pop(),
-            AutoInner::Calendar(q) => q.pop(),
-        }
-    }
-
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u32)> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.pop_before(limit),
-            AutoInner::Calendar(q) => q.pop_before(limit),
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<EventKey> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.peek_key(),
-            AutoInner::Calendar(q) => q.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.inner {
-            AutoInner::Ladder(q) => q.len(),
-            AutoInner::Calendar(q) => q.len(),
-        }
     }
 }
 
@@ -1035,29 +205,44 @@ mod tests {
 
     #[test]
     fn orders_by_time() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(30), "c");
-            q.schedule_at(SimTime(10), "a");
-            q.schedule_at(SimTime(20), "b");
-            assert_eq!(q.peek_time(), Some(SimTime(10)), "{backend:?}");
-            assert_eq!(q.pop(), Some((SimTime(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime(30), "c")));
-            assert_eq!(q.pop(), None);
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(30), "c");
+        q.schedule_at(SimTime(10), "a");
+        q.schedule_at(SimTime(20), "b");
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), None);
+
+        // "Never"-adjacent keys (SimTime::MAX) mixed with near-zero ones
+        // span the whole u64 range and must still drain in exact order.
+        let mut q = EventQueue::new();
+        for i in 0..64u64 {
+            q.schedule_at(SimTime(i), i);
+            q.schedule_at(SimTime(u64::MAX - i), u64::MAX - i);
         }
+        let mut prev = None;
+        let mut n = 0;
+        while let Some((at, v)) = q.pop() {
+            assert_eq!(at.picos(), v);
+            if let Some(p) = prev {
+                assert!(at.picos() > p, "{p} then {}", at.picos());
+            }
+            prev = Some(at.picos());
+            n += 1;
+        }
+        assert_eq!(n, 128);
     }
 
     #[test]
     fn fifo_within_same_instant() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule_at(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime(5), i)), "{backend:?}");
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule_at(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
     }
 
@@ -1070,324 +255,124 @@ mod tests {
 
     #[test]
     fn keyed_order_is_time_src_seq() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            let k = |at, src, seq| EventKey {
-                at: SimTime(at),
-                src,
-                seq,
-            };
-            q.schedule_keyed(k(50, 1, 0), "b");
-            q.schedule_keyed(k(50, 0, 7), "a");
-            q.schedule_keyed(k(50, 1, 1), "c");
-            q.schedule_keyed(k(40, 9, 9), "first");
-            assert_eq!(q.pop_keyed().unwrap().1, "first", "{backend:?}");
-            assert_eq!(q.pop_keyed().unwrap().1, "a");
-            assert_eq!(q.pop_keyed().unwrap().1, "b");
-            assert_eq!(q.pop_keyed().unwrap().1, "c");
-        }
-    }
-
-    #[test]
-    fn near_max_keys_survive_resize_churn() {
-        // The width-adaptation in `CalendarQueue::resize` measures the
-        // key spread; with "never"-adjacent keys (SimTime::MAX) in the
-        // population the spread spans nearly the whole u64 range and the
-        // old `2 * spread` doubling wrapped. The ladder's window
-        // arithmetic must saturate the same way. Mixing near-zero and
-        // near-MAX keys through enough inserts to force restructuring
-        // must still drain in exact order.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..64u64 {
-                q.schedule_at(SimTime(i), i);
-                q.schedule_at(SimTime(u64::MAX - i), u64::MAX - i);
-            }
-            let mut prev = None;
-            let mut n = 0;
-            while let Some((at, v)) = q.pop() {
-                assert_eq!(at.picos(), v, "{backend:?}");
-                if let Some(p) = prev {
-                    assert!(at.picos() > p, "{backend:?}: {p} then {}", at.picos());
-                }
-                prev = Some(at.picos());
-                n += 1;
-            }
-            assert_eq!(n, 128, "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        let k = |at, src, seq| EventKey {
+            at: SimTime(at),
+            src,
+            seq,
+        };
+        q.schedule_keyed(k(50, 1, 0), "b");
+        q.schedule_keyed(k(50, 0, 7), "a");
+        q.schedule_keyed(k(50, 1, 1), "c");
+        q.schedule_keyed(k(40, 9, 9), "first");
+        assert_eq!(q.pop_keyed().unwrap().1, "first");
+        assert_eq!(q.pop_keyed().unwrap().1, "a");
+        assert_eq!(q.pop_keyed().unwrap().1, "b");
+        assert_eq!(q.pop_keyed().unwrap().1, "c");
     }
 
     #[test]
     fn arena_slot_reuse_keeps_storage_bounded() {
         // Payload slots recycle through the free list: pushing and fully
         // draining 64 events per round must never grow the arena past the
-        // high-water population, on any backend.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for round in 0..10u64 {
-                for i in 0..64u64 {
-                    q.schedule_at(SimTime(round * 100 + i), i);
-                }
-                while q.pop().is_some() {}
+        // high-water population.
+        let mut q = EventQueue::new();
+        for round in 0..10u64 {
+            for i in 0..64u64 {
+                q.schedule_at(SimTime(round * 100 + i), i);
             }
-            assert!(
-                q.arena.slots.len() <= 64,
-                "{backend:?}: arena grew to {}",
-                q.arena.slots.len()
-            );
-            assert_eq!(q.scheduled_total(), 640, "{backend:?}");
+            while q.pop().is_some() {}
         }
+        assert!(
+            q.arena.slots.len() <= 64,
+            "arena grew to {}",
+            q.arena.slots.len()
+        );
+        assert_eq!(q.scheduled_total(), 640);
     }
 
     #[test]
     fn interleaved_pop_and_schedule() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(1), 1u32);
-            q.schedule_at(SimTime(3), 3);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t, e), (SimTime(1), 1), "{backend:?}");
-            q.schedule_at(SimTime(2), 2);
-            assert_eq!(q.pop(), Some((SimTime(2), 2)));
-            assert_eq!(q.pop(), Some((SimTime(3), 3)));
-        }
-    }
-
-    #[test]
-    fn survives_resize_churn() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            // Push enough to force several restructurings, then drain,
-            // with times spanning ns to ms so widths adapt.
-            let mut expect = Vec::new();
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..5_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let at = x % 1_000_000_000; // 0..1 ms
-                q.schedule_at(SimTime(at), i);
-                expect.push((at, i));
-            }
-            expect.sort();
-            let mut got = Vec::new();
-            while let Some((t, e)) = q.pop() {
-                got.push((t.0, e));
-            }
-            assert_eq!(got, expect, "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(1), 1u32);
+        q.schedule_at(SimTime(3), 3);
+        assert_eq!(q.pop(), Some((SimTime(1), 1)));
+        q.schedule_at(SimTime(2), 2);
+        assert_eq!(q.pop(), Some((SimTime(2), 2)));
+        assert_eq!(q.pop(), Some((SimTime(3), 3)));
     }
 
     #[test]
     fn handles_far_future_and_past_rewind() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(1_000_000_000_000), "far"); // 1 s out
-            q.schedule_at(SimTime(10), "near");
-            assert_eq!(q.pop(), Some((SimTime(10), "near")), "{backend:?}");
-            // After the cursor advanced, a push behind it must still
-            // dequeue in order.
-            q.schedule_at(SimTime(20), "behind");
-            assert_eq!(q.pop(), Some((SimTime(20), "behind")));
-            assert_eq!(q.pop(), Some((SimTime(1_000_000_000_000), "far")));
-            assert_eq!(q.pop(), None);
-        }
-    }
-
-    #[test]
-    fn pop_before_respects_the_horizon() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(10), "a");
-            q.schedule_at(SimTime(20), "b");
-            q.schedule_at(SimTime(30), "c");
-            assert_eq!(q.pop_keyed_before(SimTime(10)), None, "{backend:?}");
-            assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "a");
-            assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "b");
-            assert_eq!(q.pop_keyed_before(SimTime(21)), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "c");
-            assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
-        }
-    }
-
-    #[test]
-    fn pop_before_fast_refusal_leaves_top_untouched() {
-        // The ladder's whole point: a horizon below the pending minimum
-        // refuses via the hint without sweeping events into the bottom.
-        let mut q = EventQueue::with_backend(QueueBackend::Ladder);
-        // "near" seeds the bottom window; "far" lies past it → top tier.
-        q.schedule_at(SimTime(5), "near");
-        q.schedule_at(SimTime(1_000_000), "far");
-        assert_eq!(q.pop().unwrap().1, "near");
-        assert_eq!(q.pop_keyed_before(SimTime(100)), None);
-        match &q.inner {
-            Inner::Ladder(l) => {
-                assert!(
-                    l.bottom.is_empty(),
-                    "refusal must not sweep the top down: {l:?}"
-                );
-                assert_eq!(l.top_min.map(|k| k.at), Some(SimTime(1_000_000)));
-            }
-            _ => unreachable!(),
-        }
-        assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "far");
-    }
-
-    #[test]
-    fn dense_window_spills_to_top() {
-        // A population dense enough to sit entirely inside one bottom
-        // window must spill: the live region stays bounded (inserts keep
-        // their short-shift cost) and the drain order is still exact.
-        let mut q = EventQueue::with_backend(QueueBackend::Ladder);
-        for i in 0..512u64 {
-            // All within the initial 2^14 ps window, distinct times.
-            q.schedule_at(SimTime(1 + (i * 7) % 8000), i);
-        }
-        match &q.inner {
-            Inner::Ladder(l) => {
-                assert!(
-                    l.bottom.len() - l.bot_head <= SPILL_LEN + 1,
-                    "live bottom must stay capped: {} entries",
-                    l.bottom.len() - l.bot_head
-                );
-                assert!(!l.top.is_empty(), "the spill feeds the top tier");
-            }
-            _ => unreachable!(),
-        }
-        let mut prev = None;
-        for _ in 0..512 {
-            let (t, _) = q.pop().expect("512 scheduled");
-            if let Some(p) = prev {
-                assert!(t >= p, "spill broke the drain order");
-            }
-            prev = Some(t);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(1_000_000_000_000), "far"); // 1 s out
+        q.schedule_at(SimTime(10), "near");
+        assert_eq!(q.pop(), Some((SimTime(10), "near")));
+        // A push behind the last pop must still dequeue in order.
+        q.schedule_at(SimTime(20), "behind");
+        assert_eq!(q.pop(), Some((SimTime(20), "behind")));
+        assert_eq!(q.pop(), Some((SimTime(1_000_000_000_000), "far")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn auto_backend_migrates_both_ways_and_keeps_order() {
-        // Drive the population through both migration thresholds with a
-        // hold-model loop and check the structure actually switched each
-        // time, with pop order staying exact throughout (the reference
-        // heap runs the identical sequence alongside).
-        let mut q: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Auto);
-        let mut r: EventQueue<u64> = EventQueue::binary_heap();
-        assert_eq!(q.backend(), QueueBackend::Auto);
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut step = || {
+    fn pop_before_respects_the_horizon() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(10), "a");
+        q.schedule_at(SimTime(20), "b");
+        q.schedule_at(SimTime(30), "c");
+        assert_eq!(q.pop_keyed_before(SimTime(10)), None);
+        assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "a");
+        assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "b");
+        assert_eq!(q.pop_keyed_before(SimTime(21)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "c");
+        assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
+    }
+
+    #[test]
+    fn matches_sorted_vec_model_on_random_ops() {
+        // Differential test against the simplest correct queue: a Vec
+        // kept sorted by key. 10k seeded operations mix keyed schedules
+        // (several sources, colliding instants) with horizon-bounded pops;
+        // every pop, refusal, peek and length must agree.
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: Vec<(EventKey, u64)> = Vec::new();
+        let mut x = 0x2545F4914F6CDD1Du64;
+        let mut next = || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            (x % 4096) + 1
+            x
         };
-        for i in 0..200u64 {
-            let d = step();
-            q.schedule_at(SimTime(d), i);
-            r.schedule_at(SimTime(d), i);
-        }
-        // Population 200 > AUTO_UP_LEN: a streak of holds migrates up.
-        for _ in 0..2 * AUTO_STREAK {
-            let (t, v) = q.pop().expect("steady population");
-            assert_eq!(r.pop(), Some((t, v)));
-            let d = step();
-            q.schedule_at(SimTime(t.0 + d), v);
-            r.schedule_at(SimTime(t.0 + d), v);
-        }
-        match &q.inner {
-            Inner::Auto(a) => {
-                assert!(
-                    matches!(a.inner, AutoInner::Calendar(_)),
-                    "sustained population 200 must migrate to the calendar"
-                );
+        let mut seqs = [0u64; 4];
+        for i in 0..10_000u64 {
+            let r = next();
+            if r % 16 < 9 {
+                let src = (r >> 8) as u32 % 4;
+                let key = EventKey {
+                    at: SimTime((r >> 16) % 5_000),
+                    src,
+                    seq: seqs[src as usize],
+                };
+                seqs[src as usize] += 1;
+                q.schedule_keyed(key, i);
+                let at = model.partition_point(|(k, _)| *k < key);
+                model.insert(at, (key, i));
+            } else {
+                let limit = SimTime((r >> 16) % 6_000);
+                let want = match model.first() {
+                    Some((k, _)) if k.at < limit => Some(model.remove(0)),
+                    _ => None,
+                };
+                assert_eq!(q.pop_keyed_before(limit), want, "op {i}");
             }
-            _ => unreachable!(),
+            assert_eq!(q.len(), model.len(), "op {i}");
+            assert_eq!(q.peek_time(), model.first().map(|(k, _)| k.at), "op {i}");
         }
-        // Drain below AUTO_DOWN_LEN, then hold there: migrates back.
-        while q.len() > 8 {
-            let (t, v) = q.pop().expect("still populated");
-            assert_eq!(r.pop(), Some((t, v)));
+        for want in model {
+            assert_eq!(q.pop_keyed(), Some(want));
         }
-        for _ in 0..2 * AUTO_STREAK {
-            let (t, v) = q.pop().expect("steady population");
-            assert_eq!(r.pop(), Some((t, v)));
-            let d = step();
-            q.schedule_at(SimTime(t.0 + d), v);
-            r.schedule_at(SimTime(t.0 + d), v);
-        }
-        match &q.inner {
-            Inner::Auto(a) => {
-                assert!(
-                    matches!(a.inner, AutoInner::Ladder(_)),
-                    "collapsed population must migrate back to the ladder"
-                );
-            }
-            _ => unreachable!(),
-        }
-        while let Some((t, v)) = q.pop() {
-            assert_eq!(r.pop(), Some((t, v)));
-        }
-        assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn backends_agree_on_random_workload() {
-        // Differential test: identical operation sequences produce
-        // identical pop sequences on all backends.
-        let mut queues: Vec<EventQueue<u64>> = QueueBackend::ALL
-            .iter()
-            .map(|&b| EventQueue::with_backend(b))
-            .collect();
-        for q in &mut queues {
-            let mut x = 0x2545F4914F6CDD1Du64;
-            for i in 0..400u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let at = x % 50_000;
-                q.schedule_at(SimTime(at), i);
-            }
-        }
-        loop {
-            let (rest, first) = queues.split_at_mut(1);
-            let mut done = false;
-            let t0 = rest[0].peek_time();
-            let a = rest[0].pop_keyed();
-            for q in first {
-                assert_eq!(q.peek_time(), t0, "{:?}", q.backend());
-                let b = q.pop_keyed();
-                assert_eq!(a, b, "{:?}", q.backend());
-            }
-            if a.is_none() {
-                done = true;
-            }
-            if done {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn peek_memo_survives_inserts() {
-        // Exercises the min-hints: a peek locates the minimum, then
-        // inserts land both behind it (take the hint over) and ahead of
-        // it (leave it alone) before the pops check the order.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(500), "mid");
-            assert_eq!(q.peek_time(), Some(SimTime(500)), "{backend:?}");
-            q.schedule_at(SimTime(900), "late"); // keeps the hint
-            q.schedule_at(SimTime(100), "early"); // takes the hint over
-            assert_eq!(q.peek_time(), Some(SimTime(100)));
-            q.schedule_at(SimTime(100), "early2"); // same instant, later seq
-            assert_eq!(q.pop(), Some((SimTime(100), "early")));
-            assert_eq!(q.pop(), Some((SimTime(100), "early2")));
-            assert_eq!(q.peek_time(), Some(SimTime(500)));
-            assert_eq!(q.pop(), Some((SimTime(500), "mid")));
-            assert_eq!(q.pop(), Some((SimTime(900), "late")));
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
-        }
+        assert!(q.is_empty());
     }
 }

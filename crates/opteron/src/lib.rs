@@ -14,15 +14,12 @@
 //!   impossible over a TCCluster link).
 //! * [`nb`] — the northbridge: request disposition, IO bridge, filtering.
 //! * [`mem`] — memory controller + DRAM backing store (real bytes).
-//! * [`cache`] — MESI caches, for coherence experiments and the stale-read
-//!   hazard that forces UC receive buffers.
 //! * [`coherence`] — probe-broadcast cost model (why ccNUMA stops scaling).
 //! * [`node`] — the assembled package: store path, receive path, polling.
 
 #![forbid(unsafe_code)]
 
 pub mod addrmap;
-pub mod cache;
 pub mod coherence;
 pub mod mem;
 pub mod mtrr;

@@ -37,17 +37,21 @@ use std::process::{Command, ExitCode};
 /// workspace carries (21 when the old HOT_FUNCTIONS table was migrated
 /// to in-place attributes; 33 after the mailbox/arena/ladder hot paths
 /// were annotated; 40 after the flat fast lane and the auto queue
-/// backend landed). The count may only grow: a drop means someone
-/// deleted an annotation rather than migrating it.
-const NO_ALLOC_BASELINE: usize = 40;
+/// backend landed; 31 after the ladder, calendar and auto backends and
+/// the non-generic `on_arrive` shim were deleted with their eight and
+/// one annotated functions). The count may only grow while the code it
+/// covers stays: a drop means someone deleted an annotation rather than
+/// migrating it.
+const NO_ALLOC_BASELINE: usize = 31;
 
 /// The number of `tcc_no_panic` annotations the workspace carries (31
 /// when the panic-freedom pass landed: the no-alloc hot paths that are
 /// also panic-checked plus the executive drivers; 39 after the
 /// flat-lane dispatch, the sequential executive and the auto backend
-/// were annotated). Guarded like [`NO_ALLOC_BASELINE`]: the count may
-/// only grow.
-const NO_PANIC_BASELINE: usize = 39;
+/// were annotated; 29 after the ladder, calendar and auto backends (nine
+/// annotated functions) and the `on_arrive` shim were deleted). Guarded
+/// like [`NO_ALLOC_BASELINE`]: the count may only grow.
+const NO_PANIC_BASELINE: usize = 29;
 
 /// The epoch-phase pass must keep ranking at least this many in-scope
 /// engine functions (21 when the pass landed). A collapse below the

@@ -1,33 +1,33 @@
 //! Determinism of the sharded conservative-PDES event engine.
 //!
 //! The engine's contract (docs/engine.md, "Parallel execution") is that
-//! results are **bit-identical** for every worker thread count, every
-//! event-queue backend and both cross-shard mailbox implementations:
-//! shard state is disjoint, every event is processed in deterministic
-//! `(time, shard, seq)` key order, and the thread count / backend /
-//! mailbox knobs only change wall clock. These tests enforce that
-//! contract as a differential matrix — the same randomized workload runs
-//! through {binary heap, calendar, ladder} × {mutex inbox, batch-ring
-//! inbox} and must produce identical reports — and re-pin the paper's
+//! results are **bit-identical** for every worker thread count and for
+//! both wire lanes: shard state is disjoint, every event is processed in
+//! deterministic `(time, shard, seq)` key order, and the thread count
+//! only changes wall clock. The single-thread sequential executive, which
+//! uses no mailboxes, is the oracle for the threaded epoch executive and
+//! its batch rings; a monitored run, which sends every packet down the
+//! general path, is the oracle for the flat fast lane. These tests
+//! enforce that contract as a differential matrix and re-pin the paper's
 //! anchors (227 ns / ~2500 MB/s) on the parallel path.
 
 use proptest::prelude::*;
 use tcc_firmware::topology::ClusterTopology;
 use tcc_ht::link::LinkConfig;
-use tccluster::{
-    EngineKind, MailboxKind, QueueBackend, TcclusterBuilder, TrafficPattern, WorkloadReport,
-};
+use tccluster::{EngineKind, TcclusterBuilder, TrafficPattern, WorkloadReport};
 
-/// Run one workload on a mesh with explicit executive options.
+/// Run one workload on a mesh at `threads` workers, optionally with the
+/// invariant monitors mounted (which also switches the flat lane off).
+/// Returns the report plus the monitors' view (packets seen, clean
+/// verdict) when mounted.
 fn run(
     mesh: (usize, usize),
     link: LinkConfig,
     pattern: TrafficPattern,
     bytes: u64,
     threads: usize,
-    backend: QueueBackend,
-    mailbox: MailboxKind,
-) -> WorkloadReport {
+    monitored: bool,
+) -> (WorkloadReport, Option<(u64, bool)>) {
     let mut cluster = TcclusterBuilder::new()
         .topology(ClusterTopology::Mesh {
             x: mesh.0,
@@ -37,10 +37,15 @@ fn run(
         .tcc_link(link)
         .engine(EngineKind::EventDriven)
         .event_threads(threads)
-        .event_queue(backend)
-        .event_mailbox(mailbox)
         .build_sim();
-    cluster.run_workload(pattern, bytes)
+    let handle = monitored.then(|| {
+        let (monitor, handle) = tcc_verify::InvariantMonitor::new();
+        cluster.platform.with_monitors(monitor);
+        handle
+    });
+    let report = cluster.run_workload(pattern, bytes);
+    let verdict = handle.map(|h| (h.packets_seen(), h.is_clean()));
+    (report, verdict)
 }
 
 fn arb_link() -> impl Strategy<Value = LinkConfig> {
@@ -66,46 +71,13 @@ fn arb_pattern() -> impl Strategy<Value = TrafficPattern> {
     ]
 }
 
-/// Run one workload with the flat fast lane explicitly on or off,
-/// optionally with the invariant monitors mounted. Returns the report
-/// plus the monitors' view (packets seen, clean verdict) when mounted.
-fn run_lane(
-    mesh: (usize, usize),
-    link: LinkConfig,
-    pattern: TrafficPattern,
-    bytes: u64,
-    threads: usize,
-    flat_lane: bool,
-    monitored: bool,
-) -> (WorkloadReport, Option<(u64, bool)>) {
-    let mut cluster = TcclusterBuilder::new()
-        .topology(ClusterTopology::Mesh {
-            x: mesh.0,
-            y: mesh.1,
-        })
-        .processors_per_supernode(2)
-        .tcc_link(link)
-        .engine(EngineKind::EventDriven)
-        .event_threads(threads)
-        .event_flat_lane(flat_lane)
-        .build_sim();
-    let handle = monitored.then(|| {
-        let (monitor, handle) = tcc_verify::InvariantMonitor::new();
-        cluster.platform.with_monitors(monitor);
-        handle
-    });
-    let report = cluster.run_workload(pattern, bytes);
-    let verdict = handle.map(|h| (h.packets_seen(), h.is_clean()));
-    (report, verdict)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The core determinism property: the same workload yields a
-    /// byte-identical [`WorkloadReport`] across thread counts {1, 2, 4},
-    /// across every queue backend and across both mailbox kinds, for
-    /// randomized link shapes, patterns and flow sizes on a 2x2 mesh.
+    /// byte-identical [`WorkloadReport`] at thread counts {2, 4} as on
+    /// the sequential executive, for randomized link shapes, patterns and
+    /// flow sizes on a 2x2 mesh.
     #[test]
     fn workload_reports_are_bit_identical_across_executives(
         link in arb_link(),
@@ -113,33 +85,24 @@ proptest! {
         kb in 2u64..=8,
     ) {
         let bytes = kb << 10;
-        let baseline = run(
-            (2, 2), link, pattern, bytes, 1, QueueBackend::BinaryHeap, MailboxKind::Mutex,
-        );
+        let (baseline, _) = run((2, 2), link, pattern, bytes, 1, false);
         prop_assert!(baseline.delivered_packets > 0, "workload moved no data");
-        for backend in QueueBackend::ALL {
-            for mailbox in MailboxKind::ALL {
-                for threads in [1usize, 2, 4] {
-                    let got = run((2, 2), link, pattern, bytes, threads, backend, mailbox);
-                    prop_assert_eq!(
-                        &got,
-                        &baseline,
-                        "{:?} x {:?} x {} threads diverged on {:?}",
-                        backend,
-                        mailbox,
-                        threads,
-                        pattern
-                    );
-                }
-            }
+        for threads in [2usize, 4] {
+            let (got, _) = run((2, 2), link, pattern, bytes, threads, false);
+            prop_assert_eq!(
+                &got,
+                &baseline,
+                "{} threads diverged on {:?}",
+                threads,
+                pattern
+            );
         }
     }
 
-    /// The flat fast lane is an optimisation, never a semantic: delivery
-    /// is byte-identical with the lane on and off, at one thread and
-    /// several, and the mounted invariant monitors see the exact same
-    /// packet stream (same count, same clean verdict) either way — the
-    /// lane flag must be invisible to everything but wall clock.
+    /// The flat fast lane is an optimisation, never a semantic: at every
+    /// thread count, an unmonitored run (flat lane) and a monitored run
+    /// (general path) give byte-identical reports, and the monitors stay
+    /// clean while seeing every hop — more packets than were delivered.
     #[test]
     fn flat_lane_is_bit_identical_and_monitor_invisible(
         link in arb_link(),
@@ -147,59 +110,45 @@ proptest! {
         kb in 2u64..=8,
     ) {
         let bytes = kb << 10;
-        let (on, _) = run_lane((2, 2), link, pattern, bytes, 1, true, false);
-        prop_assert!(on.delivered_packets > 0, "workload moved no data");
-        let (off, _) = run_lane((2, 2), link, pattern, bytes, 1, false, false);
-        prop_assert_eq!(&off, &on, "flat lane off diverged on {:?}", pattern);
-        for threads in [2usize, 4] {
-            let (got, _) = run_lane((2, 2), link, pattern, bytes, threads, true, false);
-            prop_assert_eq!(&got, &on, "flat lane x {} threads diverged", threads);
+        for threads in [1usize, 2, 4] {
+            let (flat, _) = run((2, 2), link, pattern, bytes, threads, false);
+            prop_assert!(flat.delivered_packets > 0, "workload moved no data");
+            let (general, saw) = run((2, 2), link, pattern, bytes, threads, true);
+            prop_assert_eq!(
+                &general,
+                &flat,
+                "monitored run diverged at {} threads on {:?}",
+                threads,
+                pattern
+            );
+            let (seen, clean) = saw.unwrap();
+            prop_assert!(seen > flat.delivered_packets, "monitor missed forwarded hops");
+            prop_assert!(clean, "invariant violations");
         }
-        let (mon_on, saw_on) = run_lane((2, 2), link, pattern, bytes, 1, true, true);
-        let (mon_off, saw_off) = run_lane((2, 2), link, pattern, bytes, 1, false, true);
-        prop_assert_eq!(&mon_on, &on, "mounting a monitor changed the results");
-        prop_assert_eq!(&mon_off, &on, "monitor + lane off changed the results");
-        let (seen_on, clean_on) = saw_on.unwrap();
-        let (seen_off, clean_off) = saw_off.unwrap();
-        prop_assert_eq!(seen_on, seen_off, "monitors saw different packet streams");
-        prop_assert!(seen_on > on.delivered_packets, "monitor missed forwarded hops");
-        prop_assert!(clean_on && clean_off, "invariant violations");
     }
 }
 
-/// A bigger, deeply contended single case: all-to-all on a 4x4 mesh, all
-/// thread counts, every backend × mailbox, compared field-for-field.
+/// A bigger, deeply contended single case: all-to-all on a 4x4 mesh at
+/// thread counts {2, 4, 8}, each compared field-for-field against the
+/// sequential executive.
 #[test]
 fn mesh4x4_all_to_all_is_executive_invariant() {
-    let baseline = run(
-        (4, 4),
-        LinkConfig::PROTOTYPE,
-        TrafficPattern::AllToAll,
-        4 << 10,
-        1,
-        QueueBackend::BinaryHeap,
-        MailboxKind::Mutex,
-    );
+    let all_to_all = |threads| {
+        run(
+            (4, 4),
+            LinkConfig::PROTOTYPE,
+            TrafficPattern::AllToAll,
+            4 << 10,
+            threads,
+            false,
+        )
+        .0
+    };
+    let baseline = all_to_all(1);
     assert_eq!(baseline.flows.len(), 16 * 15);
     assert_eq!(baseline.lost_packets(), 0, "{baseline:?}");
-    for backend in QueueBackend::ALL {
-        for mailbox in MailboxKind::ALL {
-            for threads in [2usize, 4, 8] {
-                let got = run(
-                    (4, 4),
-                    LinkConfig::PROTOTYPE,
-                    TrafficPattern::AllToAll,
-                    4 << 10,
-                    threads,
-                    backend,
-                    mailbox,
-                );
-                assert_eq!(
-                    got, baseline,
-                    "{backend:?} x {mailbox:?} x {threads} threads diverged"
-                );
-            }
-        }
+    for threads in [2usize, 4, 8] {
+        assert_eq!(all_to_all(threads), baseline, "{threads} threads diverged");
     }
 }
 
@@ -221,35 +170,29 @@ fn parallel_path_reproduces_headline_latency() {
 }
 
 /// The ~2500 MB/s single-stream bandwidth anchor on the parallel path,
-/// and exact agreement with the sequential event engine across the whole
-/// backend × mailbox matrix.
+/// and exact agreement with the sequential event engine at thread counts
+/// {2, 4}.
 #[test]
 fn parallel_path_reproduces_headline_bandwidth() {
     use tcc_msglib::SendMode;
-    let bw = |threads: usize, backend: QueueBackend, mailbox: MailboxKind| {
+    let bw = |threads: usize| {
         let mut c = TcclusterBuilder::new()
             .engine(EngineKind::EventDriven)
             .event_threads(threads)
-            .event_queue(backend)
-            .event_mailbox(mailbox)
             .build_sim();
         c.stream_bandwidth(0, 1, 64, SendMode::WeaklyOrdered, 20)
     };
-    let sequential = bw(1, QueueBackend::BinaryHeap, MailboxKind::Mutex);
+    let sequential = bw(1);
     assert!(
         (sequential - 2500.0).abs() < 400.0,
         "64 B weak bandwidth = {sequential:.0} MB/s (paper: ~2500)"
     );
-    for backend in QueueBackend::ALL {
-        for mailbox in MailboxKind::ALL {
-            for threads in [2usize, 4] {
-                let got = bw(threads, backend, mailbox);
-                assert_eq!(
-                    got.to_bits(),
-                    sequential.to_bits(),
-                    "{backend:?} x {mailbox:?} x {threads}: {got} vs {sequential} MB/s"
-                );
-            }
-        }
+    for threads in [2usize, 4] {
+        let got = bw(threads);
+        assert_eq!(
+            got.to_bits(),
+            sequential.to_bits(),
+            "{threads} threads: {got} vs {sequential} MB/s"
+        );
     }
 }
