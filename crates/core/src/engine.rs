@@ -1574,32 +1574,49 @@ impl EventEngine {
 
     /// Per-flow delivery accounting, attributing commits by landing
     /// window, in flow-registration order.
+    ///
+    /// One pass over the commit log: each destination's windows are
+    /// carved upward from `WIN_BASE` in steps of `WIN`, so a commit's
+    /// (node, window index) names at most one flow. Commits outside every
+    /// window (message rings below `WIN_BASE`) are ignored.
     pub fn flow_reports(&self) -> Vec<FlowReport> {
-        self.flow_dir
+        let flows: Vec<&Flow> = self
+            .flow_dir
             .iter()
-            .map(|&(sid, lidx)| {
-                let f = &self.shards[sid as usize].flows[lidx as usize];
-                let mut delivered = 0u64;
-                let mut first = SimTime::MAX;
-                let mut last = SimTime::ZERO;
-                for c in &self.commits_log {
-                    if c.node == f.dst && c.offset >= f.win_off && c.offset < f.win_off + f.window {
-                        delivered += c.bytes;
-                        first = first.min(c.visible);
-                        last = last.max(c.visible);
-                    }
-                }
-                if delivered == 0 {
-                    first = SimTime::ZERO;
-                }
-                FlowReport {
-                    src: f.src,
-                    dst: f.dst,
-                    injected_packets: f.injected,
-                    delivered_bytes: delivered,
-                    first_visible: first,
-                    last_visible: last,
-                }
+            .map(|&(sid, lidx)| &self.shards[sid as usize].flows[lidx as usize])
+            .collect();
+        // by_window[node][k]: global index of the flow landing in node's
+        // k-th window.
+        let mut by_window: Vec<Vec<usize>> = vec![Vec::new(); self.win_next.len()];
+        for (g, f) in flows.iter().enumerate() {
+            let windows = &mut by_window[f.dst];
+            debug_assert_eq!(f.win_off, WIN_BASE + windows.len() as u64 * WIN);
+            windows.push(g);
+        }
+        // (bytes, first visible, last visible) per flow.
+        let mut acc = vec![(0u64, SimTime::MAX, SimTime::ZERO); flows.len()];
+        for c in &self.commits_log {
+            if c.offset < WIN_BASE {
+                continue;
+            }
+            let k = ((c.offset - WIN_BASE) / WIN) as usize;
+            if let Some(&g) = by_window[c.node].get(k) {
+                let a = &mut acc[g];
+                a.0 += c.bytes;
+                a.1 = a.1.min(c.visible);
+                a.2 = a.2.max(c.visible);
+            }
+        }
+        flows
+            .iter()
+            .zip(acc)
+            .map(|(f, (delivered, first, last))| FlowReport {
+                src: f.src,
+                dst: f.dst,
+                injected_packets: f.injected,
+                delivered_bytes: delivered,
+                first_visible: if delivered == 0 { SimTime::ZERO } else { first },
+                last_visible: last,
             })
             .collect()
     }
@@ -1950,6 +1967,118 @@ mod tests {
             let (s, d) = (a / 2, b / 2);
             assert_eq!(s / 4, d / 4, "tornado stays in its row");
             assert_eq!(d % 4, (s % 4 + 2) % 4);
+        }
+    }
+
+    /// The per-flow rescan that `flow_reports` replaced: every flow tests
+    /// every commit in the log against its window, O(flows × commits).
+    /// Kept only as the oracle for the one-pass attribution.
+    fn flow_reports_by_rescan(engine: &EventEngine) -> Vec<FlowReport> {
+        engine
+            .flow_dir
+            .iter()
+            .map(|&(sid, lidx)| {
+                let f = &engine.shards[sid as usize].flows[lidx as usize];
+                let mut delivered = 0u64;
+                let mut first = SimTime::MAX;
+                let mut last = SimTime::ZERO;
+                for c in &engine.commits_log {
+                    if c.node == f.dst && c.offset >= f.win_off && c.offset < f.win_off + f.window {
+                        delivered += c.bytes;
+                        first = first.min(c.visible);
+                        last = last.max(c.visible);
+                    }
+                }
+                if delivered == 0 {
+                    first = SimTime::ZERO;
+                }
+                FlowReport {
+                    src: f.src,
+                    dst: f.dst,
+                    injected_packets: f.injected,
+                    delivered_bytes: delivered,
+                    first_visible: first,
+                    last_visible: last,
+                }
+            })
+            .collect()
+    }
+
+    /// One-pass attribution agrees with the rescan oracle on a 4×4
+    /// all-to-all at t1 and t2, after a second round of flows on the same
+    /// engine (commits of two runs in the log), with stray posted writes
+    /// outside every flow window in the log too.
+    #[test]
+    fn one_pass_attribution_matches_the_rescan() {
+        const BYTES: u64 = 2 << 10;
+        for threads in [1usize, 2] {
+            let mut platform = crate::TcclusterBuilder::new()
+                .topology(ClusterTopology::Mesh { x: 4, y: 4 })
+                .processors_per_supernode(2)
+                .build_sim()
+                .platform;
+            for node in &mut platform.nodes {
+                node.quiesce();
+                node.raw_egress = true;
+            }
+            let options = EngineOptions {
+                threads,
+                profile_clock: None,
+            };
+            let mut engine = EventEngine::with_options(&mut platform, DEFAULT_DRAIN, options);
+            let spec = platform.spec;
+            let pairs = pattern_pairs(&spec, TrafficPattern::AllToAll);
+            for &(src, dst) in &pairs {
+                engine.add_flow(&mut platform, src, dst, BYTES);
+            }
+            engine.run_quiescent(&mut platform);
+            let first = engine.flow_reports();
+            assert_eq!(first.len(), 16 * 15);
+            assert_eq!(
+                first,
+                flow_reports_by_rescan(&engine),
+                "t{threads}, one run"
+            );
+
+            for &(src, dst) in &pairs {
+                engine.add_flow(&mut platform, src, dst, BYTES);
+            }
+            // Node 1 (processor 1 of supernode 0) gets no flows; node 2
+            // gets one window per source and round. Land a write in node
+            // 2's ring area, one just past its last window, and one in
+            // node 1 at the first window offset.
+            let strays = [(2, 0x100), (2, engine.win_next[2]), (1, WIN_BASE)];
+            for (dst, offset) in strays {
+                let (s, p) = (dst / engine.procs, dst % engine.procs);
+                let packet = Packet::posted_write(
+                    spec.node_base(s, p) + offset,
+                    Bytes::from_static(&ZERO64),
+                );
+                let link = match platform.nodes[0].nb.dispose(&packet, Source::Core) {
+                    Ok(Disposition::Forward { link }) => link,
+                    other => panic!("stray write to node {dst} stays home: {other:?}"),
+                };
+                engine.inject_at(0, link, packet, engine.now());
+            }
+            let before = engine.commits().len();
+            engine.run_quiescent(&mut platform);
+            assert_eq!(
+                engine.commits().len() - before,
+                pairs.len() * 32 + strays.len()
+            );
+            let both = engine.flow_reports();
+            assert_eq!(both.len(), 2 * pairs.len());
+            assert_eq!(
+                both[..first.len()],
+                first[..],
+                "t{threads}: round two moved round one"
+            );
+            assert!(both.iter().all(|r| r.delivered_bytes == BYTES));
+            assert_eq!(
+                both,
+                flow_reports_by_rescan(&engine),
+                "t{threads}, two runs"
+            );
         }
     }
 

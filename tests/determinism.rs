@@ -14,7 +14,10 @@
 use proptest::prelude::*;
 use tcc_firmware::topology::ClusterTopology;
 use tcc_ht::link::LinkConfig;
-use tccluster::{EngineKind, TcclusterBuilder, TrafficPattern, WorkloadReport};
+use tccluster::engine::{pattern_pairs, DEFAULT_DRAIN};
+use tccluster::{
+    EngineKind, EngineOptions, EventEngine, TcclusterBuilder, TrafficPattern, WorkloadReport,
+};
 
 /// Run one workload on a mesh at `threads` workers, optionally with the
 /// invariant monitors mounted (which also switches the flat lane off).
@@ -193,6 +196,73 @@ fn parallel_path_reproduces_headline_bandwidth() {
             got.to_bits(),
             sequential.to_bits(),
             "{threads} threads: {got} vs {sequential} MB/s"
+        );
+    }
+}
+
+/// The engine's deterministic work counters for one run of the 4x4
+/// smoke input (2 processors per supernode, all-to-all, 2 KiB per flow),
+/// driving [`EventEngine`] directly the way `SimCluster::run_workload`
+/// does: events handled, credit NOPs sent, credit stalls, DRAM commits,
+/// packets sent on the wire, and the northbridges' routed requests and
+/// forwarded packets over the run.
+fn smoke_work_counters(threads: usize) -> [u64; 7] {
+    let mut platform = TcclusterBuilder::new()
+        .topology(ClusterTopology::Mesh { x: 4, y: 4 })
+        .processors_per_supernode(2)
+        .build_sim()
+        .platform;
+    let nb = |p: &tcc_firmware::machine::Platform| {
+        p.nodes.iter().fold((0, 0), |(r, f), n| {
+            (r + n.nb.requests_routed, f + n.nb.packets_forwarded)
+        })
+    };
+    let nb0 = nb(&platform);
+    for node in &mut platform.nodes {
+        node.quiesce();
+        node.raw_egress = true;
+    }
+    let options = EngineOptions {
+        threads,
+        profile_clock: None,
+    };
+    let mut engine = EventEngine::with_options(&mut platform, DEFAULT_DRAIN, options);
+    for (src, dst) in pattern_pairs(&platform.spec, TrafficPattern::AllToAll) {
+        engine.add_flow(&mut platform, src, dst, 2 << 10);
+    }
+    engine.run_quiescent(&mut platform);
+    engine.assert_quiescent_credits();
+    let wire: u64 = engine
+        .port_ids()
+        .into_iter()
+        .filter_map(|(n, l)| engine.port(n, l))
+        .map(|p| p.tx().stats.packets_sent)
+        .sum();
+    let nb1 = nb(&platform);
+    [
+        engine.events_handled(),
+        engine.nops_sent(),
+        engine.stalls_no_credit(),
+        engine.commits().len() as u64,
+        wire,
+        nb1.0 - nb0.0,
+        nb1.1 - nb0.1,
+    ]
+}
+
+/// The simulated work of the smoke input, pinned exactly at t1 and t2.
+/// These counts depend on no host clock, so a change that adds or
+/// removes simulated work (an extra event per hop, a lost NOP, a second
+/// route lookup) fails here however fast or slow the host is.
+#[test]
+fn smoke_work_counters_are_pinned() {
+    const PINNED: [u64; 7] = [116_286, 38_656, 59_268, 7_680, 77_312, 38_896, 31_216];
+    for threads in [1usize, 2] {
+        assert_eq!(
+            smoke_work_counters(threads),
+            PINNED,
+            "{threads} threads: [events, nops, stalls, commits, wire packets, \
+             nb routed, nb forwarded]"
         );
     }
 }
