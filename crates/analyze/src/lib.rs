@@ -25,7 +25,7 @@
 //! | `determinism` | [`determinism`] | no wallclock, no `HashMap`/`HashSet` iteration, no entropy-seeded randomness in simulation code |
 //! | `panic-freedom` | [`panics`] | `#[cfg_attr(lint, tcc_no_panic)]` functions never *transitively* reach `unwrap`/`expect`/`panic!`-family sites |
 //! | `epoch-phase` | [`phase`] | the engine's epoch machine keeps drain → minima → stage → publish order and never bypasses the mailbox handoff |
-//! | `linear-resource` | [`resource`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, arena handles, batches) on *every* CFG path |
+//! | `linear-resource` | [`resource`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, batches) on *every* CFG path |
 //!
 //! Escape hatches are explicit and auditable: `#[cfg_attr(lint,
 //! tcc_alloc_ok)]` marks an amortized/cold allocation the reachability
@@ -81,6 +81,54 @@ pub struct Workspace {
     /// workspaces (everything visible).
     pub crate_deps: BTreeMap<String, BTreeSet<String>>,
 }
+
+/// The number of `#[cfg_attr(lint, tcc_no_alloc)]` annotations the
+/// workspace carries (21 when the old HOT_FUNCTIONS table was migrated
+/// to in-place attributes; 33 after the mailbox/arena/ladder hot paths
+/// were annotated; 40 after the flat fast lane and the auto queue
+/// backend landed; 31 after the ladder, calendar and auto backends and
+/// the non-generic `on_arrive` shim were deleted with their eight and
+/// one annotated functions; 29 after the event arena's `park`/`take`
+/// were deleted). The count may only grow while the code it covers
+/// stays: a drop means someone deleted an annotation rather than
+/// migrating it.
+pub const NO_ALLOC_BASELINE: usize = 29;
+
+/// The number of `tcc_no_panic` annotations the workspace carries (31
+/// when the panic-freedom pass landed: the no-alloc hot paths that are
+/// also panic-checked plus the executive drivers; 39 after the
+/// flat-lane dispatch, the sequential executive and the auto backend
+/// were annotated; 29 after the ladder, calendar and auto backends (nine
+/// annotated functions) and the `on_arrive` shim were deleted). Guarded
+/// like [`NO_ALLOC_BASELINE`]: the count may only grow.
+pub const NO_PANIC_BASELINE: usize = 29;
+
+/// The epoch-phase pass must keep ranking at least this many in-scope
+/// engine functions (21 when the pass landed). A collapse below the
+/// floor means the pass went blind (e.g. the anchor patterns no longer
+/// match the engine's rings) and its clean verdict is vacuous.
+pub const PHASE_RANKED_FLOOR: usize = 8;
+
+/// The lock-order pass must keep seeing at least this many in-scope
+/// lock sites (the `BatchRing` slot locks). Zero means the pass's scope
+/// no longer covers the code that takes locks, so its clean verdict is
+/// vacuous.
+pub const LOCK_SITES_FLOOR: usize = 1;
+
+/// The linear-resource pass must keep walking at least this many
+/// `tcc_linear`-annotated functions (16 when the pass landed: the
+/// credit, rxbuf, srctag, event-slot and batch lifecycles; 13 after
+/// the event queue's slot arena went and its three queue methods lost
+/// their `tcc_linear` annotations). Guarded like
+/// [`PHASE_RANKED_FLOOR`]: a collapse means the annotations were deleted
+/// or the pass stopped seeing them, making its verdict vacuous.
+pub const RESOURCE_BASELINE: usize = 13;
+
+/// Crates the linear-resource pass must keep covering (at least one
+/// checked function each): the paper's resource lifecycles span the
+/// wire protocol (ht), the shm transport (msglib) and the executive
+/// (core).
+pub const RESOURCE_CRATES: &[&str] = &["core", "ht", "msglib"];
 
 /// Crates whose sources are loaded but exempt from the determinism and
 /// alloc passes: the bench harness is the one legitimate wallclock (and
@@ -330,7 +378,9 @@ pub fn run_all_timed(ws: &Workspace, clock: Option<PassClock>) -> Report {
     lap(&mut report, "callgraph");
     report.diagnostics.extend(alloc::run_with(ws, &cg));
     lap(&mut report, "alloc-reachability");
-    report.diagnostics.extend(locks::run_with(ws, &cg));
+    let (lock_diags, lock_sites) = locks::run_with_stats(ws, &cg);
+    report.diagnostics.extend(lock_diags);
+    report.lock_sites = lock_sites;
     lap(&mut report, "lock-order");
     report.diagnostics.extend(timearith::run(ws));
     lap(&mut report, "time-arith");

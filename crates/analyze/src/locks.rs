@@ -1,9 +1,10 @@
 //! Pass 3 — lock-order / deadlock detection.
 //!
-//! The sharded PDES engine keeps one `Mutex` per shard mailbox; the
-//! pre-PR-4 coherent crossbar deadlocked ≥4×4 meshes precisely because a
-//! sender held its local port lock while acquiring the peer's. This pass
-//! makes that class of bug a lint failure instead of a hung simulation:
+//! The sharded PDES engine hands cross-shard events over through
+//! `BatchRing`s, whose slots are `Mutex`-guarded batches; an earlier
+//! coherent crossbar deadlocked ≥4×4 meshes precisely because a sender
+//! held its local port lock while acquiring the peer's. This pass makes
+//! that class of bug a lint failure instead of a hung simulation:
 //!
 //! 1. Every `.lock()` / `.try_lock()` call in scope is extracted and given
 //!    a *lock identity*: the normalised receiver chain (`self.` stripped,
@@ -26,8 +27,11 @@
 //! ids, port sides) that shape deadlocks exactly like an A/B-B/A pair.
 //!
 //! In production runs the scope is the concurrent core — `crates/core/
-//! src/engine.rs` and `crates/fabric/` — the only places the simulator
-//! takes locks; fixture workspaces are scanned whole.
+//! src/engine.rs`, `crates/fabric/` and the batch ring in
+//! `crates/msglib/src/handoff.rs`; fixture workspaces are scanned whole.
+//! The pass also counts the in-scope lock sites it saw: a count of zero
+//! means the scope no longer covers the code that takes locks, and the
+//! clean verdict is vacuous (`cargo xtask lint` fails on it).
 
 use crate::callgraph::{receiver_chain, CallGraph};
 use crate::lexer::{Tok, TokKind};
@@ -57,10 +61,13 @@ struct Edge {
 }
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    run_with(ws, &CallGraph::build(ws))
+    run_with_stats(ws, &CallGraph::build(ws)).0
 }
 
-pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
+/// Run the pass and also report how many in-scope `.lock()` /
+/// `.try_lock()` sites it built the graph from — the xtask guard uses the
+/// count to detect the pass going blind.
+pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize) {
     // Direct acquisitions + transitive may-acquire summaries (workspace
     // wide: a helper called from the engine still counts).
     let mut acqs: HashMap<usize, Vec<Acq>> = HashMap::new();
@@ -97,6 +104,7 @@ pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
 
     // Build the may-hold-while-acquiring graph from in-scope functions.
     let mut graph: BTreeMap<String, BTreeMap<String, Edge>> = BTreeMap::new();
+    let mut sites_in_scope = 0usize;
     for &i in &cg.live {
         let f = &ws.fns[i];
         if !in_scope(ws, &ws.file(f).path) {
@@ -104,6 +112,7 @@ pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
         }
         let file = ws.file(f).path.clone();
         let held = &acqs[&i];
+        sites_in_scope += held.len();
         for a in held {
             for b in held {
                 if b.tok > a.tok && b.tok < a.hold_end {
@@ -195,11 +204,14 @@ pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
             });
         }
     }
-    out
+    (out, sites_in_scope)
 }
 
 fn in_scope(ws: &Workspace, path: &str) -> bool {
-    ws.synthetic || path == "crates/core/src/engine.rs" || path.starts_with("crates/fabric/src/")
+    ws.synthetic
+        || path == "crates/core/src/engine.rs"
+        || path == "crates/msglib/src/handoff.rs"
+        || path.starts_with("crates/fabric/src/")
 }
 
 /// Shortest path from `from` to `to` in the identity graph (BFS),

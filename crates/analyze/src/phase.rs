@@ -18,7 +18,7 @@
 //!    ring-like receiver is rank 0, `peek_time` rank 1, a push onto an
 //!    outbox/staging/inbox receiver rank 2, `publish` on a ring-like
 //!    receiver rank 3. The chain requirement keeps `Option::take` and
-//!    `Arena::take` from masquerading as mailbox drains.
+//!    `Cell::take` from masquerading as mailbox drains.
 //! 2. Rank sets propagate through the shared call graph (a function that
 //!    calls `drain_mail` is consumer-side wherever it is called).
 //! 3. Each in-scope function's body is replayed in token order: a site
@@ -255,7 +255,7 @@ fn in_scope(ws: &Workspace, path: &str) -> bool {
 }
 
 /// Classify one call site as a phase anchor. Receiver-chain checks keep
-/// name collisions out: `Option::take`, `Arena::take` and `Vec::push`
+/// name collisions out: `Option::take`, `Cell::take` and `Vec::push`
 /// onto unrelated receivers carry no rank.
 fn anchor_rank(toks: &[crate::lexer::Tok], c: &crate::parse::CallSite) -> Option<u8> {
     match (c.kind, c.name.as_str()) {

@@ -11,9 +11,11 @@
 //! the `linear_checked_functions` / `linear_crates` guard metrics, and
 //! `timings_ms` — per-pass wall time when the caller injects a clock
 //! (`cargo xtask lint --timings`), JSON `null` otherwise so the
-//! committed artifact stays byte-stable. The schema-1 flat counter keys
-//! are retained so old diffs stay readable, and fields are only ever
-//! *added* within a schema version.
+//! committed artifact stays byte-stable. `lock_sites` (the lock-order
+//! pass's in-scope `.lock()`/`.try_lock()` count, a guard metric like
+//! `phase_ranked_functions`) was added within schema 3. The schema-1
+//! flat counter keys are retained so old diffs stay readable, and fields
+//! are only ever *added* within a schema version.
 
 use std::fmt::Write as _;
 
@@ -81,6 +83,9 @@ pub struct Report {
     /// In-scope functions the epoch-phase pass assigned a rank to; the
     /// xtask guard fails if this collapses (the pass went blind).
     pub phase_ranked_functions: usize,
+    /// In-scope `.lock()`/`.try_lock()` sites the lock-order pass built
+    /// its graph from; the xtask guard fails if this drops to zero.
+    pub lock_sites: usize,
     /// Count of `tcc_linear(..)` annotations seen (baseline-guarded:
     /// xtask fails if this drops below `RESOURCE_BASELINE`).
     pub linear_annotations: usize,
@@ -95,8 +100,8 @@ pub struct Report {
     /// live, with a body); the xtask guard fails if this collapses.
     pub linear_checked_functions: usize,
     /// Crates containing at least one linear-checked function, sorted;
-    /// the xtask guard asserts the required span (ht, fabric, msglib,
-    /// core) stays covered.
+    /// the xtask guard asserts the required span
+    /// ([`crate::RESOURCE_CRATES`]) stays covered.
     pub linear_crates: Vec<String>,
     /// Per-pass wall time in nanoseconds, in run order, when the caller
     /// injected a clock (`--timings`); empty otherwise, which serialises
@@ -172,6 +177,7 @@ impl Report {
             "  \"phase_ranked_functions\": {},",
             self.phase_ranked_functions
         );
+        let _ = writeln!(s, "  \"lock_sites\": {},", self.lock_sites);
         let _ = writeln!(
             s,
             "  \"linear_checked_functions\": {},",

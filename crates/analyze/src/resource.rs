@@ -4,12 +4,11 @@
 //! resources: flow-control credits (`TxCredits::consume` / `release`,
 //! the paper's fig. 3 flow layer), receive-buffer occupancy, the finite
 //! SrcTag table (`TagTable::allocate` / `complete` — the paper forbids
-//! remote loads precisely because tags are scarce), event-arena handles
-//! (`Arena::park` / `take`) and mailbox batches (`BatchRing::publish` /
-//! `take`). The runtime monitors in `tcc-verify` check those pairings on
-//! the traces a workload happens to drive; this pass proves them on the
-//! paths fault injection has *not* hit — the early-return and error arms
-//! where leaks actually live.
+//! remote loads precisely because tags are scarce) and mailbox batches
+//! (`BatchRing::publish` / `take`). The runtime monitors in `tcc-verify`
+//! check those pairings on the traces a workload happens to drive; this
+//! pass proves them on the paths fault injection has *not* hit — the
+//! early-return and error arms where leaks actually live.
 //!
 //! Mechanically it is the first client of the intraprocedural engines:
 //! [`crate::cfg`] builds the block graph, [`crate::dataflow`] runs a
@@ -680,21 +679,21 @@ mod tests {
     #[test]
     fn var_tracking_catches_double_release_and_use_after_release() {
         let src = "
-            pub struct Arena { slots: Vec<u32> }
-            impl Arena {
-                #[cfg_attr(lint, tcc_acquires(arena_handle))]
+            pub struct Slab { slots: Vec<u32> }
+            impl Slab {
+                #[cfg_attr(lint, tcc_acquires(slab_handle))]
                 pub fn park(&mut self, x: u32) -> u32 { self.slots.push(x); 0 }
-                #[cfg_attr(lint, tcc_releases(arena_handle))]
+                #[cfg_attr(lint, tcc_releases(slab_handle))]
                 pub fn take(&mut self, h: u32) -> u32 { self.slots[h as usize] }
             }
-            #[cfg_attr(lint, tcc_linear(arena_handle))]
-            fn double(a: &mut Arena) {
+            #[cfg_attr(lint, tcc_linear(slab_handle))]
+            fn double(a: &mut Slab) {
                 let h = a.park(7);
                 a.take(h);
                 a.take(h);
             }
-            #[cfg_attr(lint, tcc_linear(arena_handle))]
-            fn stale_use(a: &mut Arena) -> u32 {
+            #[cfg_attr(lint, tcc_linear(slab_handle))]
+            fn stale_use(a: &mut Slab) -> u32 {
                 let h = a.park(9);
                 let v = a.take(h);
                 v + h

@@ -57,18 +57,18 @@ pub fn drain_returns(pool: &mut CreditPool, n: u32) {
     }
 }
 
-pub struct Arena {
+pub struct Slab {
     slots: Vec<u64>,
 }
 
-impl Arena {
-    #[cfg_attr(lint, tcc_acquires(arena_handle))]
+impl Slab {
+    #[cfg_attr(lint, tcc_acquires(slab_handle))]
     pub fn park(&mut self, ev: u64) -> u32 {
         self.slots.push(ev);
         (self.slots.len() - 1) as u32
     }
 
-    #[cfg_attr(lint, tcc_releases(arena_handle))]
+    #[cfg_attr(lint, tcc_releases(slab_handle))]
     pub fn take(&mut self, handle: u32) -> u64 {
         self.slots[handle as usize]
     }
@@ -76,9 +76,9 @@ impl Arena {
 
 /// A tracked handle paired exactly once, with the payload (not the
 /// handle) used afterwards.
-#[cfg_attr(lint, tcc_linear(arena_handle))]
-pub fn roundtrip(arena: &mut Arena) -> u64 {
-    let handle = arena.park(7);
-    let ev = arena.take(handle);
+#[cfg_attr(lint, tcc_linear(slab_handle))]
+pub fn roundtrip(slab: &mut Slab) -> u64 {
+    let handle = slab.park(7);
+    let ev = slab.take(handle);
     ev * 2
 }

@@ -8,6 +8,8 @@ use std::path::Path;
 use tcc_analyze::callgraph::CallGraph;
 use tcc_analyze::{
     alloc, determinism, locks, panics, phase, resource, run_all, timearith, Workspace,
+    LOCK_SITES_FLOOR, NO_ALLOC_BASELINE, NO_PANIC_BASELINE, PHASE_RANKED_FLOOR, RESOURCE_BASELINE,
+    RESOURCE_CRATES,
 };
 
 const ALLOC_TRANSITIVE: &str = include_str!("fixtures/alloc_transitive.rs");
@@ -332,30 +334,29 @@ fn workspace_is_clean_under_all_seven_passes() {
             .join("\n")
     );
     assert!(
-        report.no_alloc_annotations >= 31,
+        report.no_alloc_annotations >= NO_ALLOC_BASELINE,
         "the annotated hot functions must keep their tcc_no_alloc \
-         annotations (31 once the ladder, calendar and auto queue \
-         backends were deleted; found {})",
+         annotations ({NO_ALLOC_BASELINE}; found {})",
         report.no_alloc_annotations
     );
     assert!(
-        report.no_panic_annotations >= 29,
-        "the hot path keeps its tcc_no_panic coverage (found {})",
+        report.no_panic_annotations >= NO_PANIC_BASELINE,
+        "the hot path keeps its tcc_no_panic coverage ({NO_PANIC_BASELINE}; found {})",
         report.no_panic_annotations
     );
     assert!(
-        report.phase_ranked_functions >= 4,
+        report.phase_ranked_functions >= PHASE_RANKED_FLOOR,
         "the epoch-phase pass must rank the engine's worker loop and \
          its helpers — {} ranked functions means the anchors went blind",
         report.phase_ranked_functions
     );
     assert!(
-        report.linear_checked_functions >= 10,
+        report.linear_checked_functions >= RESOURCE_BASELINE,
         "the linear-resource pass must keep walking the annotated \
-         lifecycles (found {})",
+         lifecycles ({RESOURCE_BASELINE}; found {})",
         report.linear_checked_functions
     );
-    for required in ["core", "fabric", "ht", "msglib"] {
+    for required in RESOURCE_CRATES {
         assert!(
             report.linear_crates.iter().any(|c| c == required),
             "linear-resource coverage must span crate `{required}` (have {:?})",
@@ -363,12 +364,12 @@ fn workspace_is_clean_under_all_seven_passes() {
         );
     }
     assert!(report.files_scanned >= 80, "{}", report.files_scanned);
-    // The engine's mailbox discipline specifically: scanned, and clean.
+    // The batch ring's slot locks specifically: seen by the lock pass,
+    // and clean.
     assert!(
-        ws.files
-            .iter()
-            .any(|f| f.path == "crates/core/src/engine.rs"),
-        "engine must be in scope for the lock pass"
+        report.lock_sites >= LOCK_SITES_FLOOR,
+        "the lock-order pass must see the workspace's lock sites (found {})",
+        report.lock_sites
     );
     assert_eq!(report.by_pass("lock-order").count(), 0);
 }

@@ -258,42 +258,6 @@ fn bench_shm_channel() -> (f64, f64) {
     (dt.as_nanos() as f64 / N as f64, da as f64 / N as f64)
 }
 
-/// Pure queue-op microbenchmark: the classic hold model — pop the
-/// minimum, reschedule it a pseudo-random delta ahead — over a steady
-/// population. End-to-end rates are exec-dominated (see the stage
-/// attribution), so this isolates the queue's own cost. Returns ns per
-/// hold (pop + schedule).
-fn bench_queue_hold(population: u64) -> f64 {
-    use tccluster::fabric::event::EventQueue;
-    use tccluster::fabric::time::SimTime;
-    const OPS: u64 = 2_000_000;
-    let mut q: EventQueue<u32> = EventQueue::new();
-    let mut x = 0x9E3779B97F4A7C15u64;
-    let mut step = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x % 4096) + 1
-    };
-    for i in 0..population {
-        let d = step();
-        q.schedule_at(SimTime(d), i as u32);
-    }
-    // Warm the structures through one full population turnover.
-    for _ in 0..population * 4 {
-        let (t, v) = q.pop().expect("population is steady");
-        let d = step();
-        q.schedule_at(SimTime(t.0 + d), v);
-    }
-    let t0 = Instant::now();
-    for _ in 0..OPS {
-        let (t, v) = q.pop().expect("population is steady");
-        let d = step();
-        q.schedule_at(SimTime(t.0 + d), v);
-    }
-    t0.elapsed().as_nanos() as f64 / OPS as f64
-}
-
 /// Event-driven fabric engine, small scale: concurrent all-to-all on a
 /// 2×2 mesh of two-socket supernodes (12 flows, real credit flow
 /// control). Returns host events/sec — the sweep-rate currency of every
@@ -423,15 +387,6 @@ fn main() {
         return;
     }
     // Dev-iteration modes: run only one benchmark family, skip the JSON.
-    if args.iter().any(|a| a == "--hold") {
-        const POPS: [u64; 6] = [24, 48, 96, 192, 384, 768];
-        println!("queue hold model (pop + schedule), ns/hold by steady population:");
-        for pop in POPS {
-            let ns = best_of(|| bench_queue_hold(pop));
-            println!("  {pop:>7}  {ns:>7.1}");
-        }
-        return;
-    }
     if args.iter().any(|a| a == "--mesh8-once") {
         let mut best = 0.0f64;
         for _ in 0..5 {
@@ -489,11 +444,6 @@ fn main() {
     println!("shm storm (2 threads)      {storm:>12.0} msgs/sec");
     let event_eps = -best_of(|| -bench_event_fabric());
     println!("event fabric (2x2 mesh)    {event_eps:>12.0} events/sec");
-
-    // Pure queue-op hold model: the queue's own cost, which end-to-end
-    // rates (exec-dominated) cannot resolve above host noise.
-    let hold = best_of(|| bench_queue_hold(192));
-    println!("\nqueue hold model (pop + schedule, population 192): {hold:.1} ns/hold");
 
     // ── 8×8 thread row. Single run per cell except t1 (best-of-REPS:
     // the t1 cell anchors the regression guards and the scaling
@@ -582,7 +532,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"tcc-simspeed-v7\",\n",
+            "  \"schema\": \"tcc-simspeed-v8\",\n",
             "  \"host_cpus\": {cpus},\n",
             "  \"pre_change\": {{\n",
             "    \"fig6_sweep_ms\": {f6:.1},\n",
@@ -605,10 +555,6 @@ fn main() {
             "    \"shm_allocs_per_message\": {shma:.3},\n",
             "    \"shm_storm_msgs_per_sec\": {storm:.0},\n",
             "    \"event_fabric_events_per_sec\": {ev:.0}\n",
-            "  }},\n",
-            "  \"queue_hold_ns\": {{\n",
-            "    \"population\": 192,\n",
-            "    \"ns_per_hold\": {hold:.1}\n",
             "  }},\n",
             "  \"event_fabric_8x8\": {{\n",
             "    \"flow_bytes\": {fb},\n",
@@ -638,7 +584,6 @@ fn main() {
             "  \"notes\": {{\n",
             "    \"shm_storm\": \"2-thread ping-pong; context-switch bound on single-CPU hosts (pre_change was a multi-core host). Guarded only when host_cpus >= 2.\",\n",
             "    \"event_fabric_8x8\": \"thread scaling requires host cores; the t8/t1 target is asserted by --check only when host_cpus >= 8. Cells with more threads than host_cpus still run and are asserted byte-identical to t1, but are not timed (null). The t1 guard is relative: best t1 must clear the recorded floor times the cross-host margin. t1 runs the sequential merged executive (one queue scan per shard visit, direct outbox handoff, no mailboxes); t2+ run the epoch algorithm.\",\n",
-            "    \"queue_hold\": \"the one event queue: a slab arena plus std BinaryHeap of (key, handle) pairs. simspeed --hold prints the population sweep 24-768.\",\n",
             "    \"stage_attribution\": \"queue/exec (and the credit/route/deliver split of exec) are timed on 1 in sample_every events; mailbox covers every visit. Shares are normalised to ns/event before computing pcts. shard_visits counts productive visits (>= 1 event).\"\n",
             "  }}\n",
             "}}\n"
@@ -662,7 +607,6 @@ fn main() {
         shma = shm_allocs,
         storm = storm,
         ev = event_eps,
-        hold = hold,
         fb = MESH8_FLOW_BYTES,
         evn = mesh8_events,
         t1 = json_num(row[0], 0),

@@ -12,26 +12,20 @@
 //! `src = 0` and a queue-local sequence, which reduces to the classic
 //! `(time, seq)` FIFO-within-instant order.
 //!
-//! # Arena-pooled storage
-//!
-//! Event payloads never move through the ordering structure. Every
-//! scheduled event is parked in a slab arena owned by the queue and
-//! addressed by a `u32` handle; the heap orders bare `(EventKey, u32)`
-//! pairs — 32 bytes, `Copy`, no drop glue — so a sift shuffles handles,
-//! not payloads. Slots are recycled through a free list, which keeps the
-//! steady state of a schedule/pop loop allocation-free (the
-//! `alloc_regression` suite counts).
-//!
 //! # One structure
 //!
-//! The ordering structure is `std::collections::BinaryHeap`. Ladder,
-//! calendar and population-adaptive backends were measured against it
-//! on the fabric workloads and never won outside the run-to-run spread,
-//! so the heap is both the production queue and its own oracle; the
-//! randomized test below checks it against a sorted-`Vec` model.
+//! The queue is a `std::collections::BinaryHeap` of `(EventKey, E)`
+//! entries ordered by the key alone; payloads live in the heap itself.
+//! Ladder, calendar and population-adaptive backends, and a slab arena
+//! that kept payloads out of the heap, were measured against it on the
+//! fabric workloads and never won outside the run-to-run spread. The heap
+//! only grows to its high-water population, so a steady schedule/pop loop
+//! touches no allocator (the `alloc_regression` suite counts). It is both
+//! the production queue and its own oracle; the randomized test below
+//! checks it against a sorted-`Vec` model.
 
-use crate::time::{Duration, SimTime};
-use std::cmp::Reverse;
+use crate::time::SimTime;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Total order on events: time first, then the scheduling source (shard
@@ -47,70 +41,36 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Slab arena of parked event payloads: `u32` handles in, payloads out.
-/// Slots are `Option<E>` (taking leaves `None`) and recycle through a
-/// free list, so a steady-state schedule/pop loop touches no allocator.
+/// One heap entry: a payload under its key. Ordered by the key alone
+/// (keys are unique), so `E` needs no ordering of its own.
 #[derive(Debug)]
-struct Arena<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-}
+struct Entry<E>(EventKey, E);
 
-impl<E> Arena<E> {
-    fn new() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Park `event`, returning its handle.
-    ///
-    /// Deliberate panic (reviewed): handles are u32 by layout contract
-    /// with the heap; 2^32 simultaneously-parked events means the
-    /// event budget check has already failed and memory is gone —
-    /// truncating the handle instead would silently alias two events.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_panic_ok, tcc_acquires(arena_handle))]
-    fn park(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(h) => {
-                debug_assert!(self.slots[h as usize].is_none());
-                self.slots[h as usize] = Some(event);
-                h
-            }
-            None => {
-                let h = u32::try_from(self.slots.len()).expect("arena capacity");
-                self.slots.push(Some(event));
-                h
-            }
-        }
-    }
-
-    /// Reclaim the payload behind `handle`; the slot returns to the free
-    /// list.
-    ///
-    /// Deliberate panic (reviewed): an empty slot here means the heap
-    /// double-popped a handle — continuing would replay or drop an event
-    /// and silently break bit-determinism, the one guarantee the whole
-    /// queue exists to keep.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_panic_ok, tcc_releases(arena_handle))]
-    fn take(&mut self, handle: u32) -> E {
-        let ev = self.slots[handle as usize]
-            .take()
-            .expect("arena slot occupied");
-        self.free.push(handle);
-        ev
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
     }
 }
 
-/// A time-ordered queue of events of type `E`. Payloads live in the
-/// queue's [`Arena`]; the heap orders `(EventKey, u32)` handle pairs.
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+/// A time-ordered queue of events of type `E`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    arena: Arena<E>,
-    heap: BinaryHeap<Reverse<(EventKey, u32)>>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -123,10 +83,8 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            arena: Arena::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -138,22 +96,12 @@ impl<E> EventQueue<E> {
         self.schedule_keyed(EventKey { at, src: 0, seq }, event);
     }
 
-    /// Schedule `event` to fire `after` past `now`.
-    pub fn schedule_in(&mut self, now: SimTime, after: Duration, event: E) {
-        self.schedule_at(now + after, event);
-    }
-
     /// Schedule `event` under an explicit key. The sharded engine uses
     /// this to stamp events with `(shard, shard-local seq)` so merge
     /// order is deterministic across thread counts. Keys must be unique.
-    // tcc_transfer_ok: the parked handle is owned by the heap until a
-    // pop reclaims it through `Arena::take` — held-at-exit is the point.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    #[cfg_attr(lint, tcc_linear(arena_handle), tcc_transfer_ok)]
     pub fn schedule_keyed(&mut self, key: EventKey, event: E) {
-        self.scheduled_total += 1;
-        let h = self.arena.park(event);
-        self.heap.push(Reverse((key, h)));
+        self.heap.push(Reverse(Entry(key, event)));
     }
 
     /// Pop the earliest event, returning its firing time.
@@ -162,18 +110,18 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event together with its full key.
-    #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed(&mut self) -> Option<(EventKey, E)> {
-        let Reverse((key, h)) = self.heap.pop()?;
-        Some((key, self.arena.take(h)))
+        let Reverse(Entry(key, event)) = self.heap.pop()?;
+        Some((key, event))
     }
 
     /// Pop the earliest event only if it fires strictly before `limit` —
     /// the epoch primitive of the sharded engine. A refusal is one peek.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed_before(&mut self, limit: SimTime) -> Option<(EventKey, E)> {
-        let Reverse((next, _)) = self.heap.peek()?;
+        // Peek the heap directly: `peek_time` is the epoch-phase lint's
+        // horizon-minimum anchor, and a pop is not a minima computation.
+        let Reverse(Entry(next, _)) = self.heap.peek()?;
         if next.at >= limit {
             return None;
         }
@@ -182,7 +130,7 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((k, _))| k.at)
+        self.heap.peek().map(|Reverse(Entry(k, _))| k.at)
     }
 
     pub fn len(&self) -> usize {
@@ -191,11 +139,6 @@ impl<E> EventQueue<E> {
 
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (for run statistics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 }
 
@@ -247,13 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_adds_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_in(SimTime(1_000), Duration::from_picos(500), ());
-        assert_eq!(q.pop(), Some((SimTime(1_500), ())));
-    }
-
-    #[test]
     fn keyed_order_is_time_src_seq() {
         let mut q = EventQueue::new();
         let k = |at, src, seq| EventKey {
@@ -272,10 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_slot_reuse_keeps_storage_bounded() {
-        // Payload slots recycle through the free list: pushing and fully
-        // draining 64 events per round must never grow the arena past the
-        // high-water population.
+    fn heap_storage_stays_bounded() {
+        // Pushing and fully draining 64 events per round must never grow
+        // the heap's storage past the high-water population.
         let mut q = EventQueue::new();
         for round in 0..10u64 {
             for i in 0..64u64 {
@@ -284,11 +219,10 @@ mod tests {
             while q.pop().is_some() {}
         }
         assert!(
-            q.arena.slots.len() <= 64,
-            "arena grew to {}",
-            q.arena.slots.len()
+            q.heap.capacity() <= 64,
+            "heap grew to {}",
+            q.heap.capacity()
         );
-        assert_eq!(q.scheduled_total(), 640);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //!
 //! * [`time`] — a picosecond-resolution simulated clock.
 //! * [`event`] — a deterministic time-ordered event queue.
-//! * [`sim`] — the executive driving a [`sim::Model`] to quiescence.
 //! * [`channel`] — bandwidth/latency-limited transfer resources (links,
 //!   DRAM channels, PCIe) with exact integer serialisation math.
-//! * [`stats`] — counters, exact-quantile histograms, time-weighted gauges.
+//! * [`stats`] — time-weighted gauges.
 //! * [`rng`] — deterministic xoshiro256** / SplitMix64 generators.
 //! * [`trace`] — ordered event traces for boot sequences and protocol FSMs.
 //! * [`series`] — figure/table output shared by all experiment harnesses.
@@ -19,7 +18,6 @@ pub mod channel;
 pub mod event;
 pub mod rng;
 pub mod series;
-pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -28,7 +26,6 @@ pub use channel::{Channel, RateLimiter, Transfer};
 pub use event::EventQueue;
 pub use rng::Xoshiro256;
 pub use series::{Figure, Series};
-pub use sim::{Model, Sim, Stop};
-pub use stats::{Counter, Gauge, Histogram};
+pub use stats::Gauge;
 pub use time::{Duration, SimTime};
 pub use trace::Trace;

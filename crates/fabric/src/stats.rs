@@ -1,135 +1,6 @@
-//! Measurement plumbing: counters, histograms and time-weighted gauges.
-//!
-//! Every experiment harness reports through these so that the figure
-//! binaries all print consistent summaries.
+//! Measurement plumbing: time-weighted gauges.
 
-use crate::time::{Duration, SimTime};
-use core::fmt;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    pub fn get(&self) -> u64 {
-        self.n
-    }
-}
-
-/// A sample-based histogram keeping exact values for percentile queries.
-///
-/// Experiments collect at most a few hundred thousand samples, so keeping
-/// them (8 bytes each) is cheap and gives exact quantiles instead of the
-/// bucketing error a fixed-bin histogram would introduce.
-#[derive(Debug, Default, Clone)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-    sum: u128,
-}
-
-impl Histogram {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
-        self.sum += v as u128;
-        self.sorted = false;
-    }
-
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.picos());
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.sum as f64 / self.samples.len() as f64
-    }
-
-    pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
-    }
-
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Exact q-quantile (0.0 ..= 1.0) by nearest-rank.
-    pub fn quantile(&mut self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let rank = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[rank]
-    }
-
-    pub fn median(&mut self) -> u64 {
-        self.quantile(0.5)
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var: f64 = self
-            .samples
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (n as f64 - 1.0);
-        var.sqrt()
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut h = self.clone();
-        write!(
-            f,
-            "n={} mean={} p50={} p99={} min={} max={}",
-            h.len(),
-            Duration(h.mean() as u64),
-            Duration(h.median()),
-            Duration(h.quantile(0.99)),
-            Duration(h.min()),
-            Duration(h.max()),
-        )
-    }
-}
+use crate::time::SimTime;
 
 /// A time-weighted gauge: tracks a level over simulated time and reports its
 /// time-average (e.g. queue occupancy, credits outstanding).
@@ -196,58 +67,6 @@ impl Gauge {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn histogram_quantiles_exact() {
-        let mut h = Histogram::new();
-        for v in [5u64, 1, 9, 3, 7] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 9);
-        assert_eq!(h.median(), 5);
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 9);
-        assert!((h.mean() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_stddev() {
-        let mut h = Histogram::new();
-        for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-            h.record(v);
-        }
-        // Known sample stddev of this classic dataset: ~2.138.
-        assert!((h.stddev() - 2.13808993).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_interleaves_record_and_quantile() {
-        let mut h = Histogram::new();
-        h.record(10);
-        assert_eq!(h.median(), 10);
-        h.record(20);
-        h.record(30);
-        assert_eq!(h.median(), 20, "re-sorts after new samples");
-    }
-
-    #[test]
-    fn empty_histogram_is_safe() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.median(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.stddev(), 0.0);
-    }
 
     #[test]
     fn gauge_time_average() {

@@ -13,8 +13,9 @@
 //!    *transitively* over the shared call graph (flow-sensitively over
 //!    per-function CFGs for the linear pass), and baseline guards fail
 //!    the gate if annotations are ever deleted instead of migrated — or
-//!    if a pass goes blind (phase-rank or linear-checked count collapse,
-//!    required-crate coverage loss).
+//!    if a pass goes blind (phase-rank, lock-site or linear-checked count
+//!    collapse, required-crate coverage loss). The baselines are
+//!    `tcc-analyze` constants, shared with its own workspace test.
 //! 3. **clippy** — `cargo clippy --workspace --all-targets -- -D warnings`,
 //!    which also promotes the `clippy.toml` disallowed-methods (wallclock
 //!    reads outside the bench harness) to hard errors.
@@ -32,45 +33,10 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-/// The number of `#[cfg_attr(lint, tcc_no_alloc)]` annotations the
-/// workspace carries (21 when the old HOT_FUNCTIONS table was migrated
-/// to in-place attributes; 33 after the mailbox/arena/ladder hot paths
-/// were annotated; 40 after the flat fast lane and the auto queue
-/// backend landed; 31 after the ladder, calendar and auto backends and
-/// the non-generic `on_arrive` shim were deleted with their eight and
-/// one annotated functions). The count may only grow while the code it
-/// covers stays: a drop means someone deleted an annotation rather than
-/// migrating it.
-const NO_ALLOC_BASELINE: usize = 31;
-
-/// The number of `tcc_no_panic` annotations the workspace carries (31
-/// when the panic-freedom pass landed: the no-alloc hot paths that are
-/// also panic-checked plus the executive drivers; 39 after the
-/// flat-lane dispatch, the sequential executive and the auto backend
-/// were annotated; 29 after the ladder, calendar and auto backends (nine
-/// annotated functions) and the `on_arrive` shim were deleted). Guarded
-/// like [`NO_ALLOC_BASELINE`]: the count may only grow.
-const NO_PANIC_BASELINE: usize = 29;
-
-/// The epoch-phase pass must keep ranking at least this many in-scope
-/// engine functions (21 when the pass landed). A collapse below the
-/// floor means the pass went blind (e.g. the anchor patterns no longer
-/// match the engine's rings) and its clean verdict is vacuous.
-const PHASE_RANKED_FLOOR: usize = 8;
-
-/// The linear-resource pass must keep walking at least this many
-/// `tcc_linear`-annotated functions (16 when the pass landed: the
-/// credit, rxbuf, srctag, arena-handle and batch lifecycles). Guarded
-/// like [`PHASE_RANKED_FLOOR`]: a collapse means the annotations were
-/// deleted or the pass stopped seeing them, making its verdict vacuous.
-const RESOURCE_BASELINE: usize = 16;
-
-/// Crates the linear-resource pass must keep covering (at least one
-/// checked function each): the paper's resource lifecycles span the
-/// wire protocol (ht), the event kernel (fabric), the shm transport
-/// (msglib) and the executive (core).
-const RESOURCE_CRATES: &[&str] = &["core", "fabric", "ht", "msglib"];
+use tcc_analyze::{
+    LOCK_SITES_FLOOR, NO_ALLOC_BASELINE, NO_PANIC_BASELINE, PHASE_RANKED_FLOOR, RESOURCE_BASELINE,
+    RESOURCE_CRATES,
+};
 
 /// Wall-time budget for one full analyzer run (all passes plus the
 /// shared call-graph build), enforced only under `--timings`. The run
@@ -178,8 +144,8 @@ fn lint(opts: &Opts) -> ExitCode {
 }
 
 /// Run the seven tcc-analyze passes, write `LINT_report.json` at the
-/// workspace root, enforce the annotation baselines, the phase-rank and
-/// linear-checked floors, and (under `--timings`) the wall-time budget.
+/// workspace root, enforce the annotation baselines, the phase-rank,
+/// lock-site and linear-checked floors, and (under `--timings`) the wall-time budget.
 /// Returns Ok(clean).
 fn run_analyzer(root: &Path, opts: &Opts) -> Result<bool, String> {
     let ws = tcc_analyze::Workspace::load_root(root).map_err(|e| e.to_string())?;
@@ -191,6 +157,7 @@ fn run_analyzer(root: &Path, opts: &Opts) -> Result<bool, String> {
         ("no_alloc", NO_ALLOC_BASELINE),
         ("no_panic", NO_PANIC_BASELINE),
         ("phase_ranked", PHASE_RANKED_FLOOR),
+        ("lock_sites", LOCK_SITES_FLOOR),
         ("linear_checked", RESOURCE_BASELINE),
     ];
 
@@ -231,6 +198,15 @@ fn run_analyzer(root: &Path, opts: &Opts) -> Result<bool, String> {
              (< {PHASE_RANKED_FLOOR}) — the pass no longer recognises the engine's \
              phase machine, so its clean verdict is vacuous (docs/static-analysis.md)",
             report.phase_ranked_functions
+        );
+        clean = false;
+    }
+    if report.lock_sites < LOCK_SITES_FLOOR {
+        eprintln!(
+            "xtask lint: lock-order pass saw only {} in-scope lock site(s) \
+             (< {LOCK_SITES_FLOOR}) — its scope no longer covers the code that \
+             takes locks, so its clean verdict is vacuous (docs/static-analysis.md)",
+            report.lock_sites
         );
         clean = false;
     }
@@ -360,6 +336,11 @@ mod tests {
             report.phase_ranked_functions
         );
         assert!(
+            report.lock_sites >= LOCK_SITES_FLOOR,
+            "lock-order pass saw only {} lock sites (< {LOCK_SITES_FLOOR})",
+            report.lock_sites
+        );
+        assert!(
             report.linear_checked_functions >= RESOURCE_BASELINE,
             "linear-resource pass checked only {} functions (< {RESOURCE_BASELINE})",
             report.linear_checked_functions
@@ -388,6 +369,7 @@ mod tests {
             "\"epoch-phase\"",
             "\"linear-resource\"",
             "\"phase_ranked_functions\"",
+            "\"lock_sites\"",
             "\"linear_checked_functions\"",
             "\"linear_crates\"",
             "\"timings_ms\": null",

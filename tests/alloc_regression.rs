@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator proves that steady-state message traffic
 //! performs no heap allocation at all — on the shm channel path (send +
-//! recv_into) and on the simulated store/propagate path.
+//! recv_into), on the simulated store/propagate path, and in the event
+//! queue's pop/reschedule loop.
 //!
 //! The counter is **thread-local**: the libtest harness's own threads
 //! (the main thread waiting on its event channel, timeout bookkeeping)
@@ -113,4 +114,42 @@ fn steady_state_hot_paths_allocate_nothing() {
         0,
         "store/propagate path must not allocate in steady state"
     );
+}
+
+#[test]
+fn event_queue_hold_loop_allocates_nothing() {
+    // The classic hold model: pop the minimum, reschedule it a
+    // pseudo-random delta ahead, at a steady population of 192. Payloads
+    // live in the heap's own storage, which stops growing once it holds
+    // the high-water population.
+    use tcc_fabric::event::EventQueue;
+    use tcc_fabric::time::SimTime;
+    const POPULATION: u64 = 192;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut step = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % 4096) + 1
+    };
+    for i in 0..POPULATION {
+        q.schedule_at(SimTime(step()), i);
+    }
+    let mut hold = |q: &mut EventQueue<u64>, n: u64| {
+        for _ in 0..n {
+            let (t, v) = q.pop().expect("population is steady");
+            q.schedule_at(SimTime(t.picos() + step()), v);
+        }
+    };
+    // Warm-up: several full turnovers of the population.
+    hold(&mut q, POPULATION * 4);
+    let before = allocs();
+    hold(&mut q, 100_000);
+    assert_eq!(
+        allocs() - before,
+        0,
+        "event queue hold loop must not allocate in steady state"
+    );
+    assert_eq!(q.len(), POPULATION as usize);
 }
