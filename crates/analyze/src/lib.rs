@@ -89,19 +89,22 @@ pub struct Workspace {
 /// backend landed; 31 after the ladder, calendar and auto backends and
 /// the non-generic `on_arrive` shim were deleted with their eight and
 /// one annotated functions; 29 after the event arena's `park`/`take`
-/// were deleted). The count may only grow while the code it covers
-/// stays: a drop means someone deleted an annotation rather than
-/// migrating it.
-pub const NO_ALLOC_BASELINE: usize = 29;
+/// were deleted; 33 after the per-wire event lanes annotated
+/// `LaneQueue::push_lane`/`pop_keyed_before` and the engine's
+/// `Shard::push_arrival`/`pop_before`). The count may only grow while
+/// the code it covers stays: a drop means someone deleted an annotation
+/// rather than migrating it.
+pub const NO_ALLOC_BASELINE: usize = 33;
 
 /// The number of `tcc_no_panic` annotations the workspace carries (31
 /// when the panic-freedom pass landed: the no-alloc hot paths that are
 /// also panic-checked plus the executive drivers; 39 after the
 /// flat-lane dispatch, the sequential executive and the auto backend
 /// were annotated; 29 after the ladder, calendar and auto backends (nine
-/// annotated functions) and the `on_arrive` shim were deleted). Guarded
-/// like [`NO_ALLOC_BASELINE`]: the count may only grow.
-pub const NO_PANIC_BASELINE: usize = 29;
+/// annotated functions) and the `on_arrive` shim were deleted; 33 after
+/// the same four lane push/pop functions as [`NO_ALLOC_BASELINE`]).
+/// Guarded like [`NO_ALLOC_BASELINE`]: the count may only grow.
+pub const NO_PANIC_BASELINE: usize = 33;
 
 /// The epoch-phase pass must keep ranking at least this many in-scope
 /// engine functions (21 when the pass landed). A collapse below the

@@ -63,7 +63,7 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-use tcc_fabric::event::{EventKey, EventQueue};
+use tcc_fabric::event::{EventKey, LaneQueue, Popped};
 use tcc_fabric::time::{Duration, SimTime};
 use tcc_firmware::machine::{PacketEvent, Platform};
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, Port};
@@ -174,6 +174,25 @@ impl StageProfile {
     }
 }
 
+/// Events by kind, from [`EventEngine::event_counts`]. The first five are
+/// the event kinds and sum to the events handled; `cross_shard_sends`
+/// counts the arrivals among them that crossed a shard boundary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Arrivals of data-bearing packets (wire packets minus NOPs).
+    pub data_arrivals: u64,
+    /// Arrivals of credit-return NOPs.
+    pub nop_arrivals: u64,
+    /// Receive-buffer drains.
+    pub drains: u64,
+    /// Flow pumps.
+    pub pumps: u64,
+    /// Store-path injects.
+    pub injects: u64,
+    /// Arrivals sent over a wire whose ends live in different shards.
+    pub cross_shard_sends: u64,
+}
+
 /// Sampling stride of the profiled epoch loop: one event in this many
 /// gets the clock reads. 32 keeps the instrumented run within a few
 /// percent of the uninstrumented rate while still clocking hundreds of
@@ -198,11 +217,14 @@ const EVENT_BUDGET: u64 = 500_000_000;
 
 static ZERO64: [u8; 64] = [0u8; 64];
 
-/// Events of the N-node fabric model.
+/// Events of the N-node fabric model, as a shard handles them.
 ///
 /// `node` indices are global; `flow` is the index within the owning
 /// shard's flow table (flows never cross shards — a flow lives at its
-/// source node's shard).
+/// source node's shard). No queue stores this type: each shard's
+/// [`LaneQueue`] holds arrivals and drains as compact lane entries in
+/// lanes that name their node and link, and pumps and injects in its
+/// heap, and the event is rebuilt on pop.
 #[derive(Debug)]
 pub enum FabricEvent {
     /// Flow `flow` (shard-local index) tries to enqueue + pump more
@@ -228,6 +250,45 @@ pub enum FabricEvent {
         vc: VirtualChannel,
         has_data: bool,
     },
+}
+
+/// What a shard lane entry carries beyond its `(at, seq)`: the lane names
+/// the node (and for arrivals the link) and the source shard.
+#[derive(Debug)]
+enum LaneEntry {
+    /// [`FabricEvent::Arrive`] on the lane's in-wire.
+    Arrive(Packet),
+    /// [`FabricEvent::Drained`] at the lane's node.
+    Drained {
+        link: LinkId,
+        vc: VirtualChannel,
+        has_data: bool,
+    },
+}
+
+/// The shard heap's payload: the event kinds whose keys follow no lane
+/// order ([`FabricEvent::Pump`] and [`FabricEvent::Inject`]).
+#[derive(Debug)]
+enum Timer {
+    Pump {
+        flow: usize,
+    },
+    Inject {
+        node: usize,
+        link: LinkId,
+        packet: Packet,
+    },
+}
+
+/// A cross-shard arrival in flight through an outbox or batch ring; the
+/// receiving shard appends it to the in-wire lane of `(node, link)`.
+#[derive(Debug)]
+struct Mail {
+    at: SimTime,
+    seq: u64,
+    node: usize,
+    link: LinkId,
+    packet: Packet,
 }
 
 /// One directed end of a trained wire: the transmitter leaving `node` via
@@ -338,7 +399,15 @@ struct Shard {
     drain_free: Vec<SimTime>,
     /// Flows sourced at this shard's nodes.
     flows: Vec<Flow>,
-    queue: EventQueue<FabricEvent>,
+    /// Lanes `ln * LINKS_PER_NODE + link` hold the arrivals on each
+    /// in-wire, lanes `ports.len() * LINKS_PER_NODE + ln` each node's
+    /// drains; pumps and injects go to the heap.
+    queue: LaneQueue<LaneEntry, Timer>,
+    /// Drain, pump and inject events pushed so far (one add per push),
+    /// for [`EventEngine::event_counts`].
+    drains: u64,
+    pumps: u64,
+    injects: u64,
     /// Monotonic scheduling counter — the `seq` of the next event key,
     /// shared by local scheduling and cross-shard sends so keys are
     /// globally unique.
@@ -355,18 +424,59 @@ struct Shard {
     monlog: Vec<MonRec>,
     /// Double-buffer for mailbox drains; capacity ping-pongs with the
     /// ring batches so the steady state allocates nothing.
-    inscratch: Vec<(EventKey, FabricEvent)>,
+    inscratch: Vec<Mail>,
     /// Ring-mailbox staging, indexed by destination shard: cross-shard
     /// sends accumulate here during an epoch and publish in one batch at
     /// the barrier. Only `out_peers` entries are ever non-empty.
-    outbox: Vec<Vec<(EventKey, FabricEvent)>>,
+    outbox: Vec<Vec<Mail>>,
     /// Destination shards this shard has cut wires *to*, ascending.
     out_peers: Vec<u32>,
     /// Source shards with cut wires *into* this shard, ascending — the
-    /// drain order (order is cosmetic: queue insertion is key-ordered).
+    /// drain order. The order is cosmetic: each in-wire lane is fed by
+    /// exactly one source shard, whose batch holds its sends in `seq`
+    /// order, so every lane still receives its entries in key order.
     in_peers: Vec<u32>,
     /// Per-stage attribution of this run (profiled runs only).
     profile: StageProfile,
+}
+
+impl Shard {
+    /// Append an arrival at (global `node`, `link`) to its in-wire lane.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    fn push_arrival(&mut self, m: Mail) {
+        let lane = (m.node - self.base) * LINKS_PER_NODE + m.link.0 as usize;
+        self.queue
+            .push_lane(lane, m.at, m.seq, LaneEntry::Arrive(m.packet));
+    }
+
+    /// Pop the earliest event strictly below `horizon`, rebuilding the
+    /// [`FabricEvent`] its lane or heap entry stands for.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(EventKey, FabricEvent)> {
+        Some(match self.queue.pop_keyed_before(horizon)? {
+            Popped::Lane(i, key, LaneEntry::Arrive(packet)) => (
+                key,
+                FabricEvent::Arrive {
+                    node: self.base + i / LINKS_PER_NODE,
+                    link: LinkId((i % LINKS_PER_NODE) as u8),
+                    packet,
+                },
+            ),
+            Popped::Lane(i, key, LaneEntry::Drained { link, vc, has_data }) => (
+                key,
+                FabricEvent::Drained {
+                    node: self.base + i - self.ports.len() * LINKS_PER_NODE,
+                    link,
+                    vc,
+                    has_data,
+                },
+            ),
+            Popped::Heap(key, Timer::Pump { flow }) => (key, FabricEvent::Pump { flow }),
+            Popped::Heap(key, Timer::Inject { node, link, packet }) => {
+                (key, FabricEvent::Inject { node, link, packet })
+            }
+        })
+    }
 }
 
 /// One epoch batch in flight from one shard to another. The cross-shard
@@ -375,7 +485,7 @@ struct Shard {
 /// shard `dst`, and carries at most one batch per epoch (published before
 /// the epoch barrier, taken after it, with the barrier providing the
 /// happens-before edge).
-type EventRing = BatchRing<(EventKey, FabricEvent)>;
+type EventRing = BatchRing<Mail>;
 
 /// One shard coupled to its slice of platform nodes for the duration of
 /// a run — the unit of work a PDES worker thread owns.
@@ -402,15 +512,11 @@ struct ShardRun<'a> {
 }
 
 impl ShardRun<'_> {
-    /// Stamp and schedule a shard-local event.
-    fn schedule(&mut self, at: SimTime, ev: FabricEvent) {
-        let key = EventKey {
-            at,
-            src: self.shard.id,
-            seq: self.shard.seq,
-        };
+    /// Take the shard's next scheduling sequence number.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.shard.seq;
         self.shard.seq += 1;
-        self.shard.queue.schedule_keyed(key, ev);
+        seq
     }
 
     /// Serialise a buffer drain through `node`'s receive bridge.
@@ -425,19 +531,19 @@ impl ShardRun<'_> {
         let ln = node - self.shard.base;
         let start = now.max(self.shard.drain_free[ln]);
         self.shard.drain_free[ln] = start + self.drain;
-        self.schedule(
+        let seq = self.next_seq();
+        let lane = self.shard.ports.len() * LINKS_PER_NODE + ln;
+        self.shard.drains += 1;
+        self.shard.queue.push_lane(
+            lane,
             start + self.drain,
-            FabricEvent::Drained {
-                node,
-                link,
-                vc,
-                has_data,
-            },
+            seq,
+            LaneEntry::Drained { link, vc, has_data },
         );
     }
 
     /// Route an `Arrive` to whichever shard owns the receiving node:
-    /// locally into our own queue, or toward the peer shard (applied at
+    /// onto our own in-wire lane, or toward the peer shard (applied at
     /// the next epoch barrier — sound because the arrival is at least
     /// one lookahead past the current horizon's base). A cross-shard
     /// send is a plain push onto this shard's private staging buffer —
@@ -447,17 +553,19 @@ impl ShardRun<'_> {
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn send_arrive(&mut self, at: SimTime, node: usize, link: LinkId, packet: Packet) {
         let dst = self.shard_of[node] as usize;
+        let seq = self.next_seq();
+        let m = Mail {
+            at,
+            seq,
+            node,
+            link,
+            packet,
+        };
         if dst == self.shard.id as usize {
-            self.schedule(at, FabricEvent::Arrive { node, link, packet });
+            self.shard.push_arrival(m);
             return;
         }
-        let key = EventKey {
-            at,
-            src: self.shard.id,
-            seq: self.shard.seq,
-        };
-        self.shard.seq += 1;
-        self.shard.outbox[dst].push((key, FabricEvent::Arrive { node, link, packet }));
+        self.shard.outbox[dst].push(m);
     }
 
     /// Publish every non-empty staging buffer into its pair ring — once
@@ -503,8 +611,8 @@ impl ShardRun<'_> {
                 protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
             };
             while ring.take(&mut scratch) {
-                for (key, ev) in scratch.drain(..) {
-                    self.shard.queue.schedule_keyed(key, ev);
+                for m in scratch.drain(..) {
+                    self.shard.push_arrival(m);
                 }
             }
         }
@@ -555,7 +663,7 @@ impl ShardRun<'_> {
             // events + handled is monotone across the whole run, so the
             // sample pattern is deterministic and phase-independent.
             if !PROF || !(self.shard.events + handled).is_multiple_of(PROFILE_SAMPLE_EVERY) {
-                let Some((key, ev)) = self.shard.queue.pop_keyed_before(horizon) else {
+                let Some((key, ev)) = self.shard.pop_before(horizon) else {
                     break;
                 };
                 handled += 1;
@@ -563,7 +671,7 @@ impl ShardRun<'_> {
                 continue;
             }
             let t0 = self.tick::<PROF>();
-            let popped = self.shard.queue.pop_keyed_before(horizon);
+            let popped = self.shard.pop_before(horizon);
             let t1 = self.tick::<PROF>();
             self.shard.profile.queue_ns += t1.saturating_sub(t0);
             let Some((key, ev)) = popped else { break };
@@ -605,8 +713,16 @@ impl ShardRun<'_> {
             protocol_violation!("flow {i}: first hop n{src} l{} vanished", link.0);
         };
         if remaining > 0 && port.tx.queued(VirtualChannel::Posted) == 0 {
-            let next = port.tx.next_free().max(now + Duration(1_000));
-            self.schedule(next, FabricEvent::Pump { flow: i });
+            let at = port.tx.next_free().max(now + Duration(1_000));
+            let key = EventKey {
+                at,
+                src: self.shard.id,
+                seq: self.next_seq(),
+            };
+            self.shard.pumps += 1;
+            self.shard
+                .queue
+                .schedule_keyed(key, Timer::Pump { flow: i });
         }
     }
 
@@ -1050,8 +1166,9 @@ fn pair_mut<'r, 'a>(
 /// interleaving *across* shards differs, but no event can observe it.
 ///
 /// Cross-shard sends skip the mailbox machinery entirely: they stage in
-/// the per-destination outboxes and the executive moves each batch
-/// straight into the peer's queue — no rings, no publish/take handshake.
+/// the per-destination outboxes and the executive appends each batch
+/// straight onto the peer's in-wire lanes — no rings, no publish/take
+/// handshake.
 #[cfg_attr(lint, tcc_no_panic)]
 fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
     let n = runs.len();
@@ -1096,8 +1213,8 @@ fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Durati
                 continue;
             }
             let (src, peer) = pair_mut(runs, bi, dst);
-            for (key, ev) in src.shard.outbox[dst].drain(..) {
-                peer.shard.queue.schedule_keyed(key, ev);
+            for m in src.shard.outbox[dst].drain(..) {
+                peer.shard.push_arrival(m);
             }
             mins[dst] = peer.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
         }
@@ -1248,6 +1365,13 @@ impl EventEngine {
                             lookahead = lookahead.min(config.hop_latency);
                             wired_row[peer / procs] = true;
                         }
+                        // Wires are symmetric, so the in-wire at (node,
+                        // link) is fed by the transmitter at (peer,
+                        // peer_link): its lane's source is the peer's shard.
+                        debug_assert_eq!(
+                            platform.route_hop(peer, peer_link).map(|(n, l, _)| (n, l)),
+                            Some((node, link))
+                        );
                         let seed = 0x1000 | ((node as u64) << 4) | l as u64;
                         *slot = Some(PortState {
                             tx: LinkTx::new(config, seed),
@@ -1261,13 +1385,24 @@ impl EventEngine {
                     }
                 }
             }
+            // One lane per in-wire, stamped by the shard across the wire
+            // (unwired lanes never fill), then one drain lane per node.
+            let wire_srcs = ports
+                .iter()
+                .flatten()
+                .map(|p| p.as_ref().map_or(sid, |p| p.peer / procs));
+            let srcs = wire_srcs.chain(std::iter::repeat_n(sid, procs));
+            let queue = LaneQueue::new(srcs.map(|s| s as u32));
             shards.push(Shard {
                 id: sid as u32,
                 base,
                 ports,
                 drain_free: vec![SimTime::ZERO; procs],
                 flows: Vec::new(),
-                queue: EventQueue::new(),
+                queue,
+                drains: 0,
+                pumps: 0,
+                injects: 0,
                 seq: 0,
                 now: SimTime::ZERO,
                 events: 0,
@@ -1401,6 +1536,29 @@ impl EventEngine {
             .sum()
     }
 
+    /// Events by kind over the engine's life. Arrivals and cross-shard
+    /// sends are read off the per-port transmit stats (every packet put
+    /// on a wire is one arrival); drains, pumps and injects are counted
+    /// as they are queued. After a quiescent run every queued event has
+    /// been handled, so the kinds sum to [`events_handled`](Self::events_handled).
+    pub fn event_counts(&self) -> EventCounts {
+        let mut c = EventCounts::default();
+        for shard in &self.shards {
+            c.drains += shard.drains;
+            c.pumps += shard.pumps;
+            c.injects += shard.injects;
+            for port in shard.ports.iter().flatten().flatten() {
+                let st = &port.tx.stats;
+                c.data_arrivals += st.packets_sent - st.nops_sent;
+                c.nop_arrivals += st.nops_sent;
+                if self.shard_of[port.peer] != shard.id {
+                    c.cross_shard_sends += st.packets_sent;
+                }
+            }
+        }
+        c
+    }
+
     /// Queue a packet leaving `node` on `link`, no earlier than `ready`
     /// (clamped to the engine clock — the store path's issue clock can
     /// lag a fabric that already ran ahead).
@@ -1414,9 +1572,10 @@ impl EventEngine {
             seq: shard.seq,
         };
         shard.seq += 1;
+        shard.injects += 1;
         shard
             .queue
-            .schedule_keyed(key, FabricEvent::Inject { node, link, packet });
+            .schedule_keyed(key, Timer::Inject { node, link, packet });
     }
 
     /// Register a flow of `bytes` (rounded up to 64 B packets) from
@@ -1470,9 +1629,8 @@ impl EventEngine {
             seq: shard.seq,
         };
         shard.seq += 1;
-        shard
-            .queue
-            .schedule_keyed(key, FabricEvent::Pump { flow: lidx });
+        shard.pumps += 1;
+        shard.queue.schedule_keyed(key, Timer::Pump { flow: lidx });
         self.flow_dir.push((sid as u32, lidx as u32));
         gidx
     }
@@ -1518,6 +1676,18 @@ impl EventEngine {
             clean,
             "event fabric did not quiesce within {EVENT_BUDGET} events"
         );
+        // The executives read "no next event" as a minimum of u64::MAX,
+        // so an event at SimTime::MAX looks like an empty queue. Nothing
+        // may be left behind when they report quiescence.
+        for shard in &self.shards {
+            let pending = shard.queue.len();
+            assert!(
+                pending == 0,
+                "event fabric did not quiesce: shard {} still holds {pending} \
+                 event(s) at SimTime::MAX, which no horizon reaches",
+                shard.id
+            );
+        }
         let mut now = self.now;
         for shard in &mut self.shards {
             now = now.max(shard.now);
@@ -2080,6 +2250,20 @@ mod tests {
                 "t{threads}, two runs"
             );
         }
+    }
+
+    /// An event at `SimTime::MAX` reads as an empty queue to both
+    /// executives, so it used to be stranded while the run reported
+    /// quiescence. It must fail as loudly as a run that never quiesces.
+    #[test]
+    #[should_panic(expected = "did not quiesce: shard 0 still holds 1 event(s) at SimTime::MAX")]
+    fn an_event_at_the_never_sentinel_fails_quiescence() {
+        let (mut platform, mut engine) = booted_pair_engine(LinkConfig::PROTOTYPE, DEFAULT_DRAIN);
+        let (node, link) = engine.port_ids()[0];
+        assert_eq!(node, 0);
+        let packet = Packet::posted_write(0x1000, Bytes::from_static(&ZERO64));
+        engine.inject_at(node, link, packet, SimTime::MAX);
+        engine.run_quiescent(&mut platform);
     }
 
     /// The whole point of the conservative executive: running the two

@@ -33,7 +33,7 @@ pub mod sim;
 
 pub use builder::TcclusterBuilder;
 pub use engine::{
-    EngineKind, EngineOptions, EventEngine, FlowReport, StageProfile, TrafficPattern,
+    EngineKind, EngineOptions, EventCounts, EventEngine, FlowReport, StageProfile, TrafficPattern,
     WorkloadReport,
 };
 pub use shm_cluster::{NodeCtx, ShmCluster};

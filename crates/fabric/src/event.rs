@@ -12,21 +12,36 @@
 //! `src = 0` and a queue-local sequence, which reduces to the classic
 //! `(time, seq)` FIFO-within-instant order.
 //!
-//! # One structure
+//! # Two structures
 //!
-//! The queue is a `std::collections::BinaryHeap` of `(EventKey, E)`
+//! [`EventQueue`] is a `std::collections::BinaryHeap` of `(EventKey, E)`
 //! entries ordered by the key alone; payloads live in the heap itself.
 //! Ladder, calendar and population-adaptive backends, and a slab arena
 //! that kept payloads out of the heap, were measured against it on the
 //! fabric workloads and never won outside the run-to-run spread. The heap
 //! only grows to its high-water population, so a steady schedule/pop loop
-//! touches no allocator (the `alloc_regression` suite counts). It is both
-//! the production queue and its own oracle; the randomized test below
-//! checks it against a sorted-`Vec` model.
+//! touches no allocator (the `alloc_regression` suite counts). It is the
+//! general queue, perfbench's hold model, and inside a [`LaneQueue`] it
+//! carries only the events whose keys follow no lane order: in the
+//! fabric engine that is flow pumps and store-path injects, a few hundred
+//! of the smoke input's 116,286 events.
+//!
+//! [`LaneQueue`] is that heap plus a set of FIFO *lanes* for event
+//! streams whose keys already arrive in increasing order, each stamped by
+//! one fixed source. The fabric engine gives each shard one lane per
+//! in-wire (a wire's arrivals leave one transmitter in send order) and
+//! one per node for buffer drains (serialised by the receive bridge), so
+//! the three per-hop events never touch the heap. Every lane caches its
+//! head key, so the next event is the minimum over one key per lane and
+//! the heap's top: a push onto a non-empty lane touches no index, and
+//! neither a lane push nor a lane pop sifts anything. Because the lanes hold keys in
+//! order and the scan compares full keys, a `LaneQueue` pops the same
+//! total [`EventKey`] order a single heap would. Both structures are
+//! checked against a sorted-`Vec` model by the randomized tests below.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Total order on events: time first, then the scheduling source (shard
 /// index in sharded simulations, 0 otherwise), then the source-local
@@ -119,18 +134,22 @@ impl<E> EventQueue<E> {
     /// the epoch primitive of the sharded engine. A refusal is one peek.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     pub fn pop_keyed_before(&mut self, limit: SimTime) -> Option<(EventKey, E)> {
-        // Peek the heap directly: `peek_time` is the epoch-phase lint's
+        // Not `peek_time`: that name is the epoch-phase lint's
         // horizon-minimum anchor, and a pop is not a minima computation.
-        let Reverse(Entry(next, _)) = self.heap.peek()?;
-        if next.at >= limit {
+        if self.peek_key()?.at >= limit {
             return None;
         }
         self.pop_keyed()
     }
 
+    /// Key of the earliest pending event.
+    fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|Reverse(Entry(k, _))| *k)
+    }
+
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(Entry(k, _))| k.at)
+        self.peek_key().map(|k| k.at)
     }
 
     pub fn len(&self) -> usize {
@@ -139,6 +158,154 @@ impl<E> EventQueue<E> {
 
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+/// Cached head of an empty lane. Lane sources are checked to be below
+/// `u32::MAX` when the queue is built, so this sorts strictly after any
+/// key a lane can hold, `SimTime::MAX` ones included.
+const EMPTY: EventKey = EventKey {
+    at: SimTime::MAX,
+    src: u32::MAX,
+    seq: u64::MAX,
+};
+
+/// One FIFO lane: entries drop the `src` their lane fixes.
+#[derive(Debug)]
+struct Lane<L> {
+    src: u32,
+    fifo: VecDeque<(SimTime, u64, L)>,
+}
+
+/// What [`LaneQueue::pop_keyed_before`] hands back: a lane entry with its
+/// lane index, or a heap entry.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Popped<L, H> {
+    Lane(usize, EventKey, L),
+    Heap(EventKey, H),
+}
+
+/// FIFO lanes of pre-ordered events plus an [`EventQueue`] heap for the
+/// rest, popped in one total [`EventKey`] order (see the module docs).
+///
+/// Lane `i` holds events stamped by source `srcs[i]` and must be pushed
+/// in increasing key order; debug builds assert it on every push.
+#[derive(Debug)]
+pub struct LaneQueue<L, H> {
+    /// Head key of every lane, [`EMPTY`] when the lane is empty. Kept
+    /// apart from the lanes so the minimum scan reads one dense array.
+    heads: Vec<EventKey>,
+    lanes: Vec<Lane<L>>,
+    heap: EventQueue<H>,
+}
+
+impl<L, H> LaneQueue<L, H> {
+    /// A queue with one lane per source in `srcs`, lane `i` carrying
+    /// events stamped by the `i`-th source.
+    ///
+    /// # Panics
+    /// If a source is `u32::MAX`, which marks empty lanes.
+    #[must_use]
+    pub fn new(srcs: impl IntoIterator<Item = u32>) -> Self {
+        let lanes: Vec<Lane<L>> = srcs
+            .into_iter()
+            .map(|src| {
+                assert!(
+                    src != u32::MAX,
+                    "lane source u32::MAX is reserved for the empty-lane marker"
+                );
+                Lane {
+                    src,
+                    fifo: VecDeque::new(),
+                }
+            })
+            .collect();
+        LaneQueue {
+            heads: vec![EMPTY; lanes.len()],
+            lanes,
+            heap: EventQueue::new(),
+        }
+    }
+
+    /// Append an event to lane `lane` under key `(at, <lane's source>,
+    /// seq)`, which must exceed the key of the lane's last entry. Only a push
+    /// onto an empty lane updates its cached head.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    pub fn push_lane(&mut self, lane: usize, at: SimTime, seq: u64, item: L) {
+        let l = &mut self.lanes[lane];
+        debug_assert!(
+            l.fifo.back().is_none_or(|&(a, s, _)| (a, s) < (at, seq)),
+            "lane {lane}: push ({at:?}, {seq}) is not after the lane's tail"
+        );
+        if l.fifo.is_empty() {
+            self.heads[lane] = EventKey {
+                at,
+                src: l.src,
+                seq,
+            };
+        }
+        l.fifo.push_back((at, seq, item));
+    }
+
+    /// Schedule a heap event under an explicit key. Keys must be unique
+    /// across the heap and the lanes.
+    pub fn schedule_keyed(&mut self, key: EventKey, event: H) {
+        self.heap.schedule_keyed(key, event);
+    }
+
+    /// Smallest cached lane head and its lane, or `(EMPTY, usize::MAX)`.
+    fn lane_min(&self) -> (EventKey, usize) {
+        let mut best = (EMPTY, usize::MAX);
+        for (i, &k) in self.heads.iter().enumerate() {
+            if k < best.0 {
+                best = (k, i);
+            }
+        }
+        best
+    }
+
+    /// Pop the earliest event, lane or heap, only if it fires strictly
+    /// before `limit`. A refusal is one scan of the lane heads.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    pub fn pop_keyed_before(&mut self, limit: SimTime) -> Option<Popped<L, H>> {
+        // Not `peek_time`: that name is the epoch-phase lint's
+        // horizon-minimum anchor, and a pop is not a minima computation.
+        let (key, i) = self.lane_min();
+        if let Some(top) = self.heap.peek_key() {
+            if i == usize::MAX || top < key {
+                let (key, ev) = self.heap.pop_keyed_before(limit)?;
+                return Some(Popped::Heap(key, ev));
+            }
+        }
+        if i == usize::MAX || key.at >= limit {
+            return None;
+        }
+        let lane = &mut self.lanes[i];
+        let (_, _, item) = lane.fifo.pop_front()?;
+        self.heads[i] = lane.fifo.front().map_or(EMPTY, |&(at, seq, _)| EventKey {
+            at,
+            src: lane.src,
+            seq,
+        });
+        Some(Popped::Lane(i, key, item))
+    }
+
+    /// Time of the earliest pending event, lane or heap.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let (key, i) = self.lane_min();
+        match self.heap.peek_key() {
+            Some(top) if i == usize::MAX || top < key => Some(top.at),
+            _ => (i != usize::MAX).then_some(key.at),
+        }
+    }
+
+    /// Events pending in the lanes and the heap.
+    pub fn len(&self) -> usize {
+        self.heap.len() + self.lanes.iter().map(|l| l.fifo.len()).sum::<usize>()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -266,12 +433,16 @@ mod tests {
 
     #[test]
     fn matches_sorted_vec_model_on_random_ops() {
-        // Differential test against the simplest correct queue: a Vec
-        // kept sorted by key. 10k seeded operations mix keyed schedules
-        // (several sources, colliding instants) with horizon-bounded pops;
+        // Differential test of the lane queue against the simplest correct
+        // queue: a Vec kept sorted by key. 10k seeded operations mix
+        // key-monotone pushes onto five lanes (three sources, two lanes
+        // sharing one), heap schedules under random keys from the same
+        // sources (colliding instants included) and horizon-bounded pops;
         // every pop, refusal, peek and length must agree.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut model: Vec<(EventKey, u64)> = Vec::new();
+        const SRCS: [u32; 5] = [0, 1, 1, 2, 0];
+        let mut q: LaneQueue<u64, u64> = LaneQueue::new(SRCS);
+        // (key, lane or usize::MAX for the heap, payload)
+        let mut model: Vec<(EventKey, usize, u64)> = Vec::new();
         let mut x = 0x2545F4914F6CDD1Du64;
         let mut next = || {
             x ^= x << 13;
@@ -279,34 +450,112 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut seqs = [0u64; 4];
+        let mut seqs = [0u64; 3];
+        let mut tails = [SimTime::ZERO; SRCS.len()];
+        let mut base = 0u64;
         for i in 0..10_000u64 {
             let r = next();
-            if r % 16 < 9 {
-                let src = (r >> 8) as u32 % 4;
+            base += r % 3;
+            let op = r % 16;
+            if op < 9 {
+                let (lane, src, at) = if op < 6 {
+                    let lane = (r >> 8) as usize % SRCS.len();
+                    let at = tails[lane].max(SimTime(base)) + crate::time::Duration((r >> 16) % 20);
+                    tails[lane] = at;
+                    (lane, SRCS[lane], at)
+                } else {
+                    let src = (r >> 8) as u32 % 3;
+                    (usize::MAX, src, SimTime(base + (r >> 16) % 500))
+                };
                 let key = EventKey {
-                    at: SimTime((r >> 16) % 5_000),
+                    at,
                     src,
                     seq: seqs[src as usize],
                 };
                 seqs[src as usize] += 1;
-                q.schedule_keyed(key, i);
-                let at = model.partition_point(|(k, _)| *k < key);
-                model.insert(at, (key, i));
+                if lane == usize::MAX {
+                    q.schedule_keyed(key, i);
+                } else {
+                    q.push_lane(lane, key.at, key.seq, i);
+                }
+                let pos = model.partition_point(|(k, _, _)| *k < key);
+                model.insert(pos, (key, lane, i));
             } else {
-                let limit = SimTime((r >> 16) % 6_000);
+                let limit = SimTime(base + (r >> 16) % 600);
                 let want = match model.first() {
-                    Some((k, _)) if k.at < limit => Some(model.remove(0)),
+                    Some((k, _, _)) if k.at < limit => Some(model.remove(0)),
                     _ => None,
                 };
+                let want = want.map(|(k, lane, v)| {
+                    if lane == usize::MAX {
+                        Popped::Heap(k, v)
+                    } else {
+                        Popped::Lane(lane, k, v)
+                    }
+                });
                 assert_eq!(q.pop_keyed_before(limit), want, "op {i}");
             }
             assert_eq!(q.len(), model.len(), "op {i}");
-            assert_eq!(q.peek_time(), model.first().map(|(k, _)| k.at), "op {i}");
+            assert_eq!(q.peek_time(), model.first().map(|(k, _, _)| k.at), "op {i}");
         }
-        for want in model {
-            assert_eq!(q.pop_keyed(), Some(want));
+        for (k, lane, v) in model {
+            let got = q.pop_keyed_before(SimTime::MAX);
+            if lane == usize::MAX {
+                assert_eq!(got, Some(Popped::Heap(k, v)));
+            } else {
+                assert_eq!(got, Some(Popped::Lane(lane, k, v)));
+            }
         }
         assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn lane_keys_at_the_never_sentinel_are_not_empty_lanes() {
+        // A real key at SimTime::MAX sorts below the empty-lane marker:
+        // the queue reports it pending and orders it against the heap.
+        let mut q: LaneQueue<&str, &str> = LaneQueue::new([7, 7]);
+        q.push_lane(1, SimTime::MAX, 3, "lane");
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::MAX));
+        // Pops are strictly below the limit, so nothing reaches it.
+        assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
+        let key = |src, seq| EventKey {
+            at: SimTime::MAX,
+            src,
+            seq,
+        };
+        q.schedule_keyed(key(7, 2), "heap first");
+        q.schedule_keyed(key(8, 0), "heap last");
+        q.push_lane(0, SimTime(5), 0, "early");
+        assert_eq!(q.len(), 4);
+        let early = EventKey {
+            at: SimTime(5),
+            src: 7,
+            seq: 0,
+        };
+        assert_eq!(
+            q.pop_keyed_before(SimTime(6)),
+            Some(Popped::Lane(0, early, "early"))
+        );
+        assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for the empty-lane marker")]
+    fn lane_source_u32_max_is_refused() {
+        let _: LaneQueue<(), ()> = LaneQueue::new([0, u32::MAX]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not after the lane's tail")]
+    fn non_monotone_lane_push_is_caught() {
+        let mut q: LaneQueue<u8, ()> = LaneQueue::new([0]);
+        q.push_lane(0, SimTime(10), 4, 0);
+        q.push_lane(0, SimTime(10), 3, 1);
     }
 }

@@ -4,7 +4,8 @@
 //! built on:
 //!
 //! * [`time`] — a picosecond-resolution simulated clock.
-//! * [`event`] — a deterministic time-ordered event queue.
+//! * [`event`] — deterministic time-ordered event queues: a heap, and
+//!   FIFO lanes for pre-ordered streams beside one.
 //! * [`channel`] — bandwidth/latency-limited transfer resources (links,
 //!   DRAM channels, PCIe) with exact integer serialisation math.
 //! * [`stats`] — time-weighted gauges.

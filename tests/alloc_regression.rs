@@ -153,3 +153,69 @@ fn event_queue_hold_loop_allocates_nothing() {
     );
     assert_eq!(q.len(), POPULATION as usize);
 }
+
+#[test]
+fn lane_queue_hold_loop_allocates_nothing() {
+    // The hold model on the lane queue, shaped like a fabric shard: eight
+    // key-monotone lanes of 20 events each and 32 events in the heap.
+    // Each pop is rescheduled where it came from: a lane event behind its
+    // lane's tail, a heap event a pseudo-random delta ahead. Lane deques
+    // and the heap stop growing at their high-water populations.
+    use tcc_fabric::event::{EventKey, LaneQueue, Popped};
+    use tcc_fabric::time::SimTime;
+    const LANES: usize = 8;
+    const PER_LANE: u64 = 20;
+    const HEAP: u64 = 32;
+    let mut q: LaneQueue<u64, u64> = LaneQueue::new((0..LANES as u32).map(|l| l % 3));
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut step = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % 4096) + 1
+    };
+    let mut seq = 0u64;
+    let mut tails = [0u64; LANES];
+    for (lane, tail) in tails.iter_mut().enumerate() {
+        for i in 0..PER_LANE {
+            *tail += step();
+            q.push_lane(lane, SimTime(*tail), seq, i);
+            seq += 1;
+        }
+    }
+    for i in 0..HEAP {
+        let key = EventKey {
+            at: SimTime(step()),
+            src: 3,
+            seq,
+        };
+        q.schedule_keyed(key, i);
+        seq += 1;
+    }
+    let mut hold = |q: &mut LaneQueue<u64, u64>, n: u64| {
+        for _ in 0..n {
+            match q.pop_keyed_before(SimTime::MAX) {
+                Some(Popped::Lane(lane, _, v)) => {
+                    tails[lane] += step();
+                    q.push_lane(lane, SimTime(tails[lane]), seq, v);
+                }
+                Some(Popped::Heap(key, v)) => {
+                    let at = SimTime(key.at.picos() + step());
+                    q.schedule_keyed(EventKey { at, src: 3, seq }, v);
+                }
+                None => panic!("population is steady"),
+            }
+            seq += 1;
+        }
+    };
+    // Warm-up: several full turnovers of the population.
+    hold(&mut q, (LANES as u64 * PER_LANE + HEAP) * 4);
+    let before = allocs();
+    hold(&mut q, 100_000);
+    assert_eq!(
+        allocs() - before,
+        0,
+        "lane queue hold loop must not allocate in steady state"
+    );
+    assert_eq!(q.len(), LANES * PER_LANE as usize + HEAP as usize);
+}

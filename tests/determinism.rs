@@ -16,7 +16,8 @@ use tcc_firmware::topology::ClusterTopology;
 use tcc_ht::link::LinkConfig;
 use tccluster::engine::{pattern_pairs, DEFAULT_DRAIN};
 use tccluster::{
-    EngineKind, EngineOptions, EventEngine, TcclusterBuilder, TrafficPattern, WorkloadReport,
+    EngineKind, EngineOptions, EventCounts, EventEngine, TcclusterBuilder, TrafficPattern,
+    WorkloadReport,
 };
 
 /// Run one workload on a mesh at `threads` workers, optionally with the
@@ -205,8 +206,8 @@ fn parallel_path_reproduces_headline_bandwidth() {
 /// driving [`EventEngine`] directly the way `SimCluster::run_workload`
 /// does: events handled, credit NOPs sent, credit stalls, DRAM commits,
 /// packets sent on the wire, and the northbridges' routed requests and
-/// forwarded packets over the run.
-fn smoke_work_counters(threads: usize) -> [u64; 7] {
+/// forwarded packets over the run; plus the engine's events by kind.
+fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts) {
     let mut platform = TcclusterBuilder::new()
         .topology(ClusterTopology::Mesh { x: 4, y: 4 })
         .processors_per_supernode(2)
@@ -239,7 +240,7 @@ fn smoke_work_counters(threads: usize) -> [u64; 7] {
         .map(|p| p.tx().stats.packets_sent)
         .sum();
     let nb1 = nb(&platform);
-    [
+    let counters = [
         engine.events_handled(),
         engine.nops_sent(),
         engine.stalls_no_credit(),
@@ -247,22 +248,40 @@ fn smoke_work_counters(threads: usize) -> [u64; 7] {
         wire,
         nb1.0 - nb0.0,
         nb1.1 - nb0.1,
-    ]
+    ];
+    (counters, engine.event_counts())
 }
 
 /// The simulated work of the smoke input, pinned exactly at t1 and t2.
 /// These counts depend on no host clock, so a change that adds or
 /// removes simulated work (an extra event per hop, a lost NOP, a second
 /// route lookup) fails here however fast or slow the host is.
+///
+/// The events by kind were taken on the engine that still queued every
+/// event in one heap per shard; they show the per-wire lanes changed no
+/// work. Of the 116,286 events, only the 318 pumps (and any injects) go
+/// through a shard's heap; arrivals and drains ride the lanes.
 #[test]
 fn smoke_work_counters_are_pinned() {
     const PINNED: [u64; 7] = [116_286, 38_656, 59_268, 7_680, 77_312, 38_896, 31_216];
+    const BY_KIND: EventCounts = EventCounts {
+        data_arrivals: 38_656,
+        nop_arrivals: 38_656,
+        drains: 38_656,
+        pumps: 318,
+        injects: 0,
+        cross_shard_sends: 40_960,
+    };
     for threads in [1usize, 2] {
+        let (counters, by_kind) = smoke_work_counters(threads);
         assert_eq!(
-            smoke_work_counters(threads),
-            PINNED,
+            counters, PINNED,
             "{threads} threads: [events, nops, stalls, commits, wire packets, \
              nb routed, nb forwarded]"
         );
+        assert_eq!(by_kind, BY_KIND, "{threads} threads: events by kind");
+        let c = by_kind;
+        let kinds = c.data_arrivals + c.nop_arrivals + c.drains + c.pumps + c.injects;
+        assert_eq!(kinds, PINNED[0], "{threads} threads: kinds sum to events");
     }
 }
