@@ -11,7 +11,9 @@
 //!   intra-workspace [`CallEdge`]s. Resolution is the same deliberate
 //!   may-analysis the alloc pass shipped with: method names fan out to
 //!   every workspace method of that name the caller's crate can import,
-//!   `Type::name` paths stay precise, externals resolve to nothing.
+//!   except that `self.m()` inside `impl T` is `T::m` alone when `T`
+//!   defines `m`; `Type::name` paths stay precise, externals resolve to
+//!   nothing.
 //! * [`CallGraph::propagate`] — generic backward fixpoint: callee
 //!   summaries are joined into callers until nothing changes. The lock
 //!   pass instantiates it with may-acquire sets, the phase pass with
@@ -27,7 +29,7 @@
 //!   tell `BatchRing::take` receivers from `Option::take` ones.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{call_sites, is_keyword, CallKind, CallSite};
+use crate::parse::{call_sites, is_keyword, CallKind, CallSite, FnDef};
 use crate::Workspace;
 use std::collections::{HashMap, VecDeque};
 
@@ -83,16 +85,11 @@ impl CallGraph {
             let toks = &ws.file(f).toks;
             let body = f.body.expect("live fns have bodies");
             let ss = call_sites(toks, body);
-            let crate_name = &ws.file(f).crate_name;
             for c in &ss {
-                for succ in resolve(
-                    ws,
-                    crate_name,
-                    f.qual.as_deref(),
-                    c,
-                    &by_name,
-                    &by_qual_name,
-                ) {
+                // `self.m()`: the receiver token sits just before the `.`.
+                let on_self =
+                    c.kind == CallKind::Method && c.tok >= 2 && toks[c.tok - 2].is("self");
+                for succ in resolve(ws, f, on_self, c, &by_name, &by_qual_name) {
                     if succ != i {
                         edges[i].push(CallEdge {
                             callee: succ,
@@ -189,31 +186,52 @@ fn index_pair<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
 /// over-approximate on ambiguity, empty for externals). Candidates in
 /// crates the caller's crate cannot import are discarded — a name match
 /// across an absent dependency edge is a collision, not a call.
+///
+/// A method call on `self` (`on_self`) inside `impl T` goes to `T`'s own
+/// `m` when `T` defines one: Rust picks it over any other method of that
+/// name. Inside a trait body `self` may be any implementor, so a default
+/// method's `self.m()` still fans out.
 fn resolve(
     ws: &Workspace,
-    caller_crate: &str,
-    caller_qual: Option<&str>,
+    caller: &FnDef,
+    on_self: bool,
     c: &CallSite,
     by_name: &HashMap<&str, Vec<usize>>,
     by_qual_name: &HashMap<(&str, &str), Vec<usize>>,
 ) -> Vec<usize> {
+    let caller_crate = &ws.file(caller).crate_name;
+    let caller_qual = caller.qual.as_deref();
     let importable = |i: &usize| ws.visible(caller_crate, &ws.files[ws.fns[*i].file].crate_name);
+    // `Self::m`, and `self.m()` outside trait bodies: the caller's own impl.
+    let own = || -> Vec<usize> {
+        caller_qual
+            .and_then(|q| by_qual_name.get(&(q, c.name.as_str())))
+            .map(|v| v.iter().copied().filter(|i| importable(i)).collect())
+            .unwrap_or_default()
+    };
     match c.kind {
         CallKind::Macro => Vec::new(),
-        CallKind::Method => by_name
-            .get(c.name.as_str())
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|i| ws.fns[*i].qual.is_some() && importable(i))
-                    .collect()
-            })
-            .unwrap_or_default(),
+        CallKind::Method => {
+            let mine = if on_self && !caller.in_trait {
+                own()
+            } else {
+                Vec::new()
+            };
+            if !mine.is_empty() {
+                return mine;
+            }
+            by_name
+                .get(c.name.as_str())
+                .map(|v| {
+                    v.iter()
+                        .copied()
+                        .filter(|i| ws.fns[*i].qual.is_some() && importable(i))
+                        .collect()
+                })
+                .unwrap_or_default()
+        }
         CallKind::Path => match c.qual.as_deref() {
-            Some("Self") => caller_qual
-                .and_then(|q| by_qual_name.get(&(q, c.name.as_str())))
-                .map(|v| v.iter().copied().filter(|i| importable(i)).collect())
-                .unwrap_or_default(),
+            Some("Self") => own(),
             Some(q) => {
                 if let Some(v) = by_qual_name.get(&(q, c.name.as_str())) {
                     v.iter().copied().filter(|i| importable(i)).collect()
@@ -343,6 +361,28 @@ mod tests {
             .map(|e| w.fns[e.callee].name.as_str())
             .collect();
         assert_eq!(callees, ["b", "helper"], "Vec::new is external");
+    }
+
+    #[test]
+    fn self_calls_in_a_trait_body_still_fan_out() {
+        let w = ws("
+            trait Step {
+                fn run(&self) { self.step(); }
+                fn step(&self) {}
+            }
+            impl Step for A { fn step(&self) {} }
+        ");
+        let cg = CallGraph::build(&w);
+        let run = idx(&w, "run");
+        let callees: Vec<String> = cg.edges[run]
+            .iter()
+            .map(|e| w.fns[e.callee].display_name())
+            .collect();
+        assert_eq!(
+            callees,
+            ["Step::step", "A::step"],
+            "any implementor may be self"
+        );
     }
 
     #[test]

@@ -91,7 +91,9 @@ pub struct Workspace {
 /// one annotated functions; 29 after the event arena's `park`/`take`
 /// were deleted; 33 after the per-wire event lanes annotated
 /// `LaneQueue::push_lane`/`pop_keyed_before` and the engine's
-/// `Shard::push_arrival`/`pop_before`). The count may only grow while
+/// `Shard::push_arrival`/`pop_before`; still 33 after `pop_before` was
+/// deleted and the engine's shared delivery tail `act_on_delivery` was
+/// annotated). The count may only grow while
 /// the code it covers stays: a drop means someone deleted an annotation
 /// rather than migrating it.
 pub const NO_ALLOC_BASELINE: usize = 33;
@@ -102,7 +104,8 @@ pub const NO_ALLOC_BASELINE: usize = 33;
 /// flat-lane dispatch, the sequential executive and the auto backend
 /// were annotated; 29 after the ladder, calendar and auto backends (nine
 /// annotated functions) and the `on_arrive` shim were deleted; 33 after
-/// the same four lane push/pop functions as [`NO_ALLOC_BASELINE`]).
+/// the same four lane push/pop functions as [`NO_ALLOC_BASELINE`]; still
+/// 33 after the same `pop_before` → `act_on_delivery` swap).
 /// Guarded like [`NO_ALLOC_BASELINE`]: the count may only grow.
 pub const NO_PANIC_BASELINE: usize = 33;
 

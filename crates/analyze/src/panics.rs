@@ -208,6 +208,25 @@ mod tests {
     }
 
     #[test]
+    fn self_call_resolves_to_the_enclosing_impl_only() {
+        // Two impls define `settle`; only `Sim`'s panics. `Shard`'s own
+        // `self.settle()` cannot reach it.
+        let d = diags(
+            "
+            impl Sim {
+                fn settle(&mut self) { panic!(\"not quiescent\"); }
+            }
+            impl Shard {
+                #[cfg_attr(lint, tcc_no_panic)]
+                fn hot(&mut self) { self.settle(); }
+                fn settle(&mut self) { self.n += 1; }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
     fn panic_ok_is_a_boundary() {
         let d = diags(
             "

@@ -60,6 +60,9 @@ pub struct FnDef {
     pub name: String,
     /// The `impl`/`trait` target type name, if this is a method.
     pub qual: Option<String>,
+    /// `qual` names a trait (a default or declared trait method), not an
+    /// impl target.
+    pub in_trait: bool,
     /// Raw text of each attribute on the fn, tokens space-joined
     /// (`cfg_attr ( lint , tcc_no_alloc )`).
     pub attrs: Vec<String>,
@@ -120,6 +123,7 @@ struct Scope {
     depth: usize,
     /// The impl/trait target type, if any.
     qual: Option<String>,
+    is_trait: bool,
     is_test: bool,
 }
 
@@ -175,6 +179,7 @@ pub fn parse_file(file_idx: usize, f: &SourceFile) -> Parsed {
                     scopes.push(Scope {
                         depth,
                         qual: None,
+                        is_trait: false,
                         is_test,
                     });
                     depth += 1;
@@ -204,6 +209,7 @@ pub fn parse_file(file_idx: usize, f: &SourceFile) -> Parsed {
                     scopes.push(Scope {
                         depth,
                         qual,
+                        is_trait,
                         is_test,
                     });
                     depth += 1;
@@ -239,13 +245,16 @@ pub fn parse_file(file_idx: usize, f: &SourceFile) -> Parsed {
                 let in_test_scope = scopes.iter().any(|s| s.is_test);
                 let is_test =
                     in_test_scope || attrs.iter().any(|a| a == "test" || a.starts_with("test "));
-                let qual = scopes.iter().rev().find_map(|s| s.qual.clone());
+                let owner = scopes.iter().rev().find(|s| s.qual.is_some());
+                let qual = owner.and_then(|s| s.qual.clone());
+                let in_trait = owner.is_some_and(|s| s.is_trait);
                 if toks.get(j).is_some_and(|t| t.is("{")) {
                     let end = skip_balanced(toks, j, "{", "}");
                     out.fns.push(FnDef {
                         file: file_idx,
                         name,
                         qual,
+                        in_trait,
                         attrs,
                         sig,
                         body: Some((j, end)),
@@ -261,6 +270,7 @@ pub fn parse_file(file_idx: usize, f: &SourceFile) -> Parsed {
                         file: file_idx,
                         name,
                         qual,
+                        in_trait,
                         attrs,
                         sig,
                         body: None,

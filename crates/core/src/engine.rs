@@ -28,14 +28,13 @@
 //! [`Shard`] owns the ports, flows, drain clocks and event queue of one
 //! supernode's nodes, so shard state is fully disjoint. Wire latency
 //! gives the synchronization lookahead for free — every cross-shard
-//! event is a packet [`Arrive`](FabricEvent::Arrive) produced by
-//! `put_on_wire`, whose arrival lies at least one hop latency in the
-//! future. With `L = min(hop_latency over cut links)`, every epoch
-//! processes events strictly below the horizon
-//! `min(next event anywhere) + L`; events a shard generates for another
-//! shard during the epoch land at or past the horizon, so exchanging
-//! mailboxes at the epoch barrier never delivers an event into a
-//! shard's past.
+//! event is a packet arrival produced by `put_on_wire`, which lies at
+//! least one hop latency in the future. With
+//! `L = min(hop_latency over cut links)`, every epoch processes events
+//! strictly below the horizon `min(next event anywhere) + L`; events a
+//! shard generates for another shard during the epoch land at or past
+//! the horizon, so exchanging mailboxes at the epoch barrier never
+//! delivers an event into a shard's past.
 //!
 //! Determinism: every event carries an [`EventKey`] `(time, shard, seq)`
 //! stamped by the shard that *scheduled* it, each shard pops its queue
@@ -64,12 +63,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use tcc_fabric::event::{EventKey, LaneQueue, Popped};
+use tcc_fabric::protocol_violation;
 use tcc_fabric::time::{Duration, SimTime};
 use tcc_firmware::machine::{PacketEvent, Platform};
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, Port};
 use tcc_ht::link::{Delivery, LinkRx, LinkTx};
 use tcc_ht::packet::{Packet, VirtualChannel};
-use tcc_ht::protocol_violation;
 use tcc_msglib::handoff::BatchRing;
 use tcc_opteron::nb::FlatTable;
 use tcc_opteron::node::{DeliverOutcome, FlatOutcome, Node};
@@ -217,48 +216,14 @@ const EVENT_BUDGET: u64 = 500_000_000;
 
 static ZERO64: [u8; 64] = [0u8; 64];
 
-/// Events of the N-node fabric model, as a shard handles them.
-///
-/// `node` indices are global; `flow` is the index within the owning
-/// shard's flow table (flows never cross shards — a flow lives at its
-/// source node's shard). No queue stores this type: each shard's
-/// [`LaneQueue`] holds arrivals and drains as compact lane entries in
-/// lanes that name their node and link, and pumps and injects in its
-/// heap, and the event is rebuilt on pop.
-#[derive(Debug)]
-pub enum FabricEvent {
-    /// Flow `flow` (shard-local index) tries to enqueue + pump more
-    /// packets at its source.
-    Pump { flow: usize },
-    /// A node's store path handed a packet to the fabric at (node, link).
-    Inject {
-        node: usize,
-        link: LinkId,
-        packet: Packet,
-    },
-    /// A packet arrives at `node` on `link`.
-    Arrive {
-        node: usize,
-        link: LinkId,
-        packet: Packet,
-    },
-    /// The receiver at (node, link) finished a packet of this shape; its
-    /// buffers become returnable credits.
-    Drained {
-        node: usize,
-        link: LinkId,
-        vc: VirtualChannel,
-        has_data: bool,
-    },
-}
-
 /// What a shard lane entry carries beyond its `(at, seq)`: the lane names
 /// the node (and for arrivals the link) and the source shard.
 #[derive(Debug)]
 enum LaneEntry {
-    /// [`FabricEvent::Arrive`] on the lane's in-wire.
+    /// A packet arrives on the lane's in-wire.
     Arrive(Packet),
-    /// [`FabricEvent::Drained`] at the lane's node.
+    /// The receiver at the lane's node finished a packet of this shape on
+    /// `link`; its buffers become returnable credits.
     Drained {
         link: LinkId,
         vc: VirtualChannel,
@@ -267,12 +232,13 @@ enum LaneEntry {
 }
 
 /// The shard heap's payload: the event kinds whose keys follow no lane
-/// order ([`FabricEvent::Pump`] and [`FabricEvent::Inject`]).
+/// order. `node` is global; `flow` indexes the owning shard's flow table
+/// (a flow lives at its source node's shard).
 #[derive(Debug)]
 enum Timer {
-    Pump {
-        flow: usize,
-    },
+    /// Flow `flow` tries to enqueue + pump more packets at its source.
+    Pump { flow: usize },
+    /// A node's store path handed a packet to the fabric at (node, link).
     Inject {
         node: usize,
         link: LinkId,
@@ -448,35 +414,6 @@ impl Shard {
         self.queue
             .push_lane(lane, m.at, m.seq, LaneEntry::Arrive(m.packet));
     }
-
-    /// Pop the earliest event strictly below `horizon`, rebuilding the
-    /// [`FabricEvent`] its lane or heap entry stands for.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, horizon: SimTime) -> Option<(EventKey, FabricEvent)> {
-        Some(match self.queue.pop_keyed_before(horizon)? {
-            Popped::Lane(i, key, LaneEntry::Arrive(packet)) => (
-                key,
-                FabricEvent::Arrive {
-                    node: self.base + i / LINKS_PER_NODE,
-                    link: LinkId((i % LINKS_PER_NODE) as u8),
-                    packet,
-                },
-            ),
-            Popped::Lane(i, key, LaneEntry::Drained { link, vc, has_data }) => (
-                key,
-                FabricEvent::Drained {
-                    node: self.base + i - self.ports.len() * LINKS_PER_NODE,
-                    link,
-                    vc,
-                    has_data,
-                },
-            ),
-            Popped::Heap(key, Timer::Pump { flow }) => (key, FabricEvent::Pump { flow }),
-            Popped::Heap(key, Timer::Inject { node, link, packet }) => {
-                (key, FabricEvent::Inject { node, link, packet })
-            }
-        })
-    }
 }
 
 /// One epoch batch in flight from one shard to another. The cross-shard
@@ -622,27 +559,33 @@ impl ShardRun<'_> {
         }
     }
 
-    /// Handle one popped event. The profiled instantiation sends
+    /// Handle one popped lane or heap entry; the lane index names the
+    /// node (and for arrivals the link). The profiled instantiation sends
     /// arrivals through the instrumented [`on_arrive`](Self::on_arrive)
     /// so exec time sub-attributes into credit/route/deliver; the other
     /// event kinds have no sub-stages.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn dispatch<const PROF: bool>(&mut self, key: EventKey, ev: FabricEvent) {
-        self.shard.now = key.at;
+    fn dispatch<const PROF: bool>(&mut self, ev: Popped<LaneEntry, Timer>) {
         match ev {
-            FabricEvent::Pump { flow } => self.pump_flow(key.at, flow),
-            FabricEvent::Inject { node, link, packet } => {
-                self.on_inject(key.at, node, link, packet);
-            }
-            FabricEvent::Arrive { node, link, packet } => {
+            Popped::Lane(i, key, LaneEntry::Arrive(packet)) => {
+                self.shard.now = key.at;
+                let node = self.shard.base + i / LINKS_PER_NODE;
+                let link = LinkId((i % LINKS_PER_NODE) as u8);
                 self.on_arrive::<PROF>(key, node, link, packet);
             }
-            FabricEvent::Drained {
-                node,
-                link,
-                vc,
-                has_data,
-            } => self.on_drained(key.at, node, link, vc, has_data),
+            Popped::Lane(i, key, LaneEntry::Drained { link, vc, has_data }) => {
+                self.shard.now = key.at;
+                let node = self.shard.base + i - self.shard.ports.len() * LINKS_PER_NODE;
+                self.on_drained(key.at, node, link, vc, has_data);
+            }
+            Popped::Heap(key, Timer::Pump { flow }) => {
+                self.shard.now = key.at;
+                self.pump_flow(key.at, flow);
+            }
+            Popped::Heap(key, Timer::Inject { node, link, packet }) => {
+                self.shard.now = key.at;
+                self.on_inject(key.at, node, link, packet);
+            }
         }
     }
 
@@ -663,21 +606,21 @@ impl ShardRun<'_> {
             // events + handled is monotone across the whole run, so the
             // sample pattern is deterministic and phase-independent.
             if !PROF || !(self.shard.events + handled).is_multiple_of(PROFILE_SAMPLE_EVERY) {
-                let Some((key, ev)) = self.shard.pop_before(horizon) else {
+                let Some(ev) = self.shard.queue.pop_keyed_before(horizon) else {
                     break;
                 };
                 handled += 1;
-                self.dispatch::<false>(key, ev);
+                self.dispatch::<false>(ev);
                 continue;
             }
             let t0 = self.tick::<PROF>();
-            let popped = self.shard.pop_before(horizon);
+            let popped = self.shard.queue.pop_keyed_before(horizon);
             let t1 = self.tick::<PROF>();
             self.shard.profile.queue_ns += t1.saturating_sub(t0);
-            let Some((key, ev)) = popped else { break };
+            let Some(ev) = popped else { break };
             handled += 1;
             self.shard.profile.sampled_events += 1;
-            self.dispatch::<PROF>(key, ev);
+            self.dispatch::<PROF>(ev);
             self.shard.profile.exec_ns += self.tick::<PROF>().saturating_sub(t1);
         }
         if PROF {
@@ -852,34 +795,15 @@ impl ShardRun<'_> {
                     let outcome =
                         self.nodes[ln].deliver_flat(now, plan, addr, &packet.data, !coherent);
                     let t_deliver = self.tick::<PROF>();
-                    match outcome {
+                    let outcome = match outcome {
                         FlatOutcome::Committed { offset, visible } => {
-                            self.schedule_drain(now, node, link, VirtualChannel::Posted, true);
-                            self.shard.commits.push(CommitRec {
-                                node,
-                                offset,
-                                visible,
-                                bytes: 64,
-                            });
+                            DeliverOutcome::Committed { offset, visible }
                         }
-                        FlatOutcome::Forward { link: out, at } => {
-                            // Same hold-until-forwarded policy as the
-                            // general path below.
-                            let Some(out_port) = self.shard.ports[ln][out.0 as usize].as_mut()
-                            else {
-                                protocol_violation!("forward out inactive port n{node} l{}", out.0);
-                            };
-                            let hold = !out_port.coherent;
-                            out_port.tx.enqueue(packet);
-                            out_port
-                                .provenance
-                                .push_back(if hold { Some(link) } else { None });
-                            if !hold {
-                                self.schedule_drain(now, node, link, VirtualChannel::Posted, true);
-                            }
-                            self.pump_port(at, node, out);
+                        FlatOutcome::Forward { link, at } => {
+                            DeliverOutcome::Forward { link, packet, at }
                         }
-                    }
+                    };
+                    self.act_on_delivery(now, node, link, VirtualChannel::Posted, 64, outcome);
                     if PROF {
                         let end = self.tick::<PROF>();
                         let p = &mut self.shard.profile;
@@ -953,7 +877,6 @@ impl ShardRun<'_> {
             }
             None => {
                 let vc = packet.vc();
-                let has_data = !packet.data.is_empty();
                 let bytes = packet.data.len() as u64;
                 let outcome = self.nodes[ln]
                     .deliver_routed(now, link, packet, coherent)
@@ -964,54 +887,73 @@ impl ShardRun<'_> {
                 if PROF {
                     self.shard.profile.route_ns += t_route.saturating_sub(t_credit);
                 }
-                match outcome {
-                    DeliverOutcome::Committed { offset, visible } => {
-                        self.schedule_drain(now, node, link, vc, has_data);
-                        self.shard.commits.push(CommitRec {
-                            node,
-                            offset,
-                            visible,
-                            bytes,
-                        });
-                    }
-                    DeliverOutcome::Forward {
-                        link: out,
-                        packet,
-                        at,
-                    } => {
-                        // Across a TCC hop, hold this input buffer until
-                        // the packet leaves on the output link (pump_port
-                        // schedules the drain). Into the *coherent*
-                        // crossbar inside the supernode, release it at
-                        // handoff instead: cHT has its own per-port
-                        // buffering, and holding across the shared
-                        // internal links would couple the X- and Y-phase
-                        // dependency graphs into credit cycles (a real
-                        // deadlock on meshes of 4x4 and up — the 2x2 the
-                        // model checker covers is too small to close the
-                        // loop).
-                        let Some(out_port) = self.shard.ports[ln][out.0 as usize].as_mut() else {
-                            protocol_violation!("forward out inactive port n{node} l{}", out.0);
-                        };
-                        let hold = !out_port.coherent;
-                        out_port.tx.enqueue(packet);
-                        out_port
-                            .provenance
-                            .push_back(if hold { Some(link) } else { None });
-                        if !hold {
-                            self.schedule_drain(now, node, link, vc, has_data);
-                        }
-                        self.pump_port(at, node, out);
-                    }
-                    DeliverOutcome::Filtered => {
-                        self.schedule_drain(now, node, link, vc, has_data);
-                    }
-                }
+                self.act_on_delivery(now, node, link, vc, bytes, outcome);
                 if PROF {
                     let end = self.tick::<PROF>();
                     self.shard.profile.deliver_ns += end.saturating_sub(t_route);
                 }
             }
+        }
+    }
+
+    /// Act on where an accepted packet of `bytes` payload in `vc` went,
+    /// for both wire lanes: a commit schedules the input buffer's drain
+    /// and logs the write; a filtered broadcast schedules the drain; a
+    /// forward enqueues the packet on its output link and pumps it.
+    ///
+    /// Across a TCC hop a forward holds the input buffer until the packet
+    /// leaves on the output link (hold-until-forwarded: `pump_port`
+    /// schedules the drain). Into the *coherent* crossbar inside the
+    /// supernode it releases the buffer at handoff instead: cHT has its
+    /// own per-port buffering, and holding across the shared internal
+    /// links would couple the X- and Y-phase dependency graphs into
+    /// credit cycles (a real deadlock on meshes of 4x4 and up — the 2x2
+    /// the model checker covers is too small to close the loop).
+    // Inlined into both arms so the flat arm's `FlatOutcome` →
+    // `DeliverOutcome` mapping folds away instead of being built on the
+    // stack for an out-of-line call on every data arrival.
+    #[inline(always)]
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    fn act_on_delivery(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        link: LinkId,
+        vc: VirtualChannel,
+        bytes: u64,
+        outcome: DeliverOutcome,
+    ) {
+        let has_data = bytes != 0;
+        match outcome {
+            DeliverOutcome::Committed { offset, visible } => {
+                self.schedule_drain(now, node, link, vc, has_data);
+                self.shard.commits.push(CommitRec {
+                    node,
+                    offset,
+                    visible,
+                    bytes,
+                });
+            }
+            DeliverOutcome::Forward {
+                link: out,
+                packet,
+                at,
+            } => {
+                let ln = node - self.shard.base;
+                let Some(out_port) = self.shard.ports[ln][out.0 as usize].as_mut() else {
+                    protocol_violation!("forward out inactive port n{node} l{}", out.0);
+                };
+                let hold = !out_port.coherent;
+                out_port.tx.enqueue(packet);
+                out_port
+                    .provenance
+                    .push_back(if hold { Some(link) } else { None });
+                if !hold {
+                    self.schedule_drain(now, node, link, vc, has_data);
+                }
+                self.pump_port(at, node, out);
+            }
+            DeliverOutcome::Filtered => self.schedule_drain(now, node, link, vc, has_data),
         }
     }
 

@@ -12,11 +12,14 @@
 //! * [`rng`] — deterministic xoshiro256** / SplitMix64 generators.
 //! * [`trace`] — ordered event traces for boot sequences and protocol FSMs.
 //! * [`series`] — figure/table output shared by all experiment harnesses.
+//! * [`fatal`] — the reviewed protocol-violation funnel hot paths abort
+//!   through (see the `panic-freedom` pass in tcc-analyze).
 
 #![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod event;
+pub mod fatal;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -5,11 +5,11 @@
 
 use crate::topology::{ClusterSpec, SOUTHBRIDGE};
 use std::collections::BTreeMap;
+use tcc_fabric::protocol_violation;
 use tcc_fabric::time::SimTime;
 use tcc_fabric::Trace;
 use tcc_ht::init::{LinkEndpoint, LinkRegs};
 use tcc_ht::link::LinkConfig;
-use tcc_ht::protocol_violation;
 use tcc_ht::Packet;
 use tcc_opteron::node::{Action, ActionSink, Node};
 use tcc_opteron::regs::{LinkId, NodeId};

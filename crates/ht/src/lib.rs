@@ -11,17 +11,13 @@
 //! * [`init`] — the link-initialisation FSM, including the force-ncHT debug
 //!   register whose abuse is the heart of the TCCluster mechanism.
 //! * [`crc`] — the per-window CRC-32 and its bandwidth derate.
-//! * [`ordering`] — the I/O ordering rules (PassPW, Fence) and a FIFO
-//!   delivery checker.
+//! * [`ordering`] — the I/O ordering rules (PassPW, Fence).
 //! * [`retry`] — the HT3 link-level retry protocol: per-frame CRC +
 //!   sequence numbers, cumulative acks, nak-triggered Go-Back-N replay.
-//! * [`fatal`] — the reviewed protocol-violation funnel the hot path
-//!   aborts through (see the `panic-freedom` pass in tcc-analyze).
 
 #![forbid(unsafe_code)]
 
 pub mod crc;
-pub mod fatal;
 pub mod flow;
 pub mod init;
 pub mod link;

@@ -41,31 +41,6 @@ fn pass_pw(p: &Packet) -> bool {
     }
 }
 
-/// An order-checking observer: feed it packets in delivery order and it
-/// verifies per-VC FIFO against issue order. Used by tests and by the
-/// fabric's debug assertions.
-#[derive(Debug, Default)]
-pub struct OrderChecker {
-    next_expected: [u64; 3],
-}
-
-impl OrderChecker {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record delivery of the packet carrying issue-sequence `seq` in `vc`.
-    /// Panics if delivery within the VC is out of order.
-    pub fn observe(&mut self, vc: VirtualChannel, seq: u64) {
-        let slot = &mut self.next_expected[vc.index()];
-        assert!(
-            seq >= *slot,
-            "VC {vc} delivered seq {seq} after expecting >= {slot}"
-        );
-        *slot = seq + 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,23 +99,5 @@ mod tests {
     fn posted_passes_nonposted_and_responses() {
         assert!(may_pass(&posted(), &read(false)));
         assert!(may_pass(&posted(), &response()));
-    }
-
-    #[test]
-    fn order_checker_accepts_fifo() {
-        let mut oc = OrderChecker::new();
-        for i in 0..10 {
-            oc.observe(VirtualChannel::Posted, i);
-        }
-        // Other VCs independent.
-        oc.observe(VirtualChannel::Response, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "delivered seq")]
-    fn order_checker_catches_reordering() {
-        let mut oc = OrderChecker::new();
-        oc.observe(VirtualChannel::Posted, 1);
-        oc.observe(VirtualChannel::Posted, 0);
     }
 }

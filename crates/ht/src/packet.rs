@@ -305,15 +305,6 @@ impl FlatWire {
         FlatWire { addr, data }
     }
 
-    /// Lossless narrowing: `Some` exactly when the packet is the flat
-    /// shape ([`Packet::flat_addr`] on the same packet returns `Some`).
-    pub fn from_packet(pkt: &Packet) -> Option<FlatWire> {
-        let addr = pkt.flat_addr()?;
-        let mut data = [0u8; Self::DATA_BYTES];
-        data.copy_from_slice(&pkt.data);
-        Some(FlatWire { addr, data })
-    }
-
     /// Lossless widening back to the general form. Allocates a fresh
     /// payload; boundary crossings that own a [`PayloadPool`] should
     /// prefer its recycled variant.
@@ -432,11 +423,9 @@ mod tests {
             *b = (i as u8).wrapping_mul(37).wrapping_add(11);
         }
         let pkt = Packet::posted_write(0x1_2345_67C0, Bytes::copy_from_slice(&payload));
-        let flat = FlatWire::from_packet(&pkt).expect("64B posted write is flat");
-        assert_eq!(flat.addr, 0x1_2345_67C0);
-        assert_eq!(flat.data, payload);
-        let back = flat.to_packet();
+        let back = FlatWire::new(0x1_2345_67C0, payload).to_packet();
         assert_eq!(back, pkt, "widening must reproduce the packet exactly");
+        assert_eq!(back.flat_addr(), Some(0x1_2345_67C0), "and stay flat");
         assert_eq!(back.wire_bytes(), FlatWire::WIRE_BYTES);
         assert_eq!(back.vc(), FlatWire::VC);
     }
@@ -494,7 +483,6 @@ mod tests {
         // The canonical storm packet IS flat.
         let flat = Packet::posted_write(0x2000, Bytes::from_static(&[0u8; 64]));
         assert_eq!(flat.flat_addr(), Some(0x2000));
-        assert!(FlatWire::from_packet(&flat).is_some());
     }
 
     #[test]

@@ -9,15 +9,11 @@
 //! * [`pgas`] — a block-distributed global array: remote `put` is one
 //!   remote store; remote `get` is two-sided under the hood because the
 //!   interconnect cannot route responses (paper §IV.A).
-//! * [`am`] — GASNet-style active messages with a registered handler
-//!   table, the substrate PGAS runtimes build on.
 
 #![forbid(unsafe_code)]
 
-pub mod am;
 pub mod mpi;
 pub mod pgas;
 
-pub use am::AmEngine;
 pub use mpi::{Comm, ReduceOp};
 pub use pgas::GlobalArray;

@@ -68,7 +68,9 @@ impl<R: RemoteWindow, L: LocalWindow> Barrier<R, L> {
             if to != self.rank {
                 // Validated in `new`: every round partner has a window.
                 let Some(w) = self.peers[to].as_ref() else {
-                    crate::protocol_violation!("rank {to} lost its sync window after validation");
+                    tcc_fabric::protocol_violation!(
+                        "rank {to} lost its sync window after validation"
+                    );
                 };
                 w.store_u64((k * 8) as u64, e);
                 w.fence();

@@ -18,9 +18,9 @@
 //! `[0]` ring credit (consumed seq), `[8]` rendezvous credit (consumed
 //! bytes).
 
-use crate::protocol_violation;
 use crate::ring::{RingError, RingReceiver, RingSender, SendMode, MAX_EAGER, RING_BYTES};
 use crate::window::{LocalWindow, RemoteWindow};
+use tcc_fabric::protocol_violation;
 
 /// Rendezvous landing-zone size per channel.
 pub const RDVZ_BYTES: u64 = 256 * 1024;

@@ -20,7 +20,6 @@
 
 pub mod barrier;
 pub mod channel;
-pub mod fatal;
 pub mod handoff;
 pub mod ring;
 pub mod shm;

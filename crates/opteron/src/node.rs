@@ -21,10 +21,10 @@ use crate::regs::{LinkId, NodeId, NodeRegs, LINKS_PER_NODE};
 use crate::wc::{Flush, WcBuffers};
 use std::collections::VecDeque;
 use tcc_fabric::channel::Channel;
+use tcc_fabric::protocol_violation;
 use tcc_fabric::time::{Duration, SimTime};
 use tcc_ht::link::{Delivery, LinkConfig, LinkTx};
 use tcc_ht::packet::Packet;
-use tcc_ht::protocol_violation;
 
 /// An externally visible consequence of a node operation.
 #[derive(Debug, Clone)]

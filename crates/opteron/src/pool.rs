@@ -72,41 +72,6 @@ impl PayloadPool {
         out
     }
 
-    /// Fast-lane variant of [`alloc`](Self::alloc) for the one payload
-    /// size the flat wire carries: a full cache line. Every slab in the
-    /// pool has capacity >= [`MIN_SLAB`] = 64 by construction, so the
-    /// recycle probe skips the capacity check the general path pays.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    pub fn alloc_line(&mut self, data: &[u8; 64]) -> Bytes {
-        self.served += 1;
-        let n = self.slots.len();
-        for _ in 0..n.min(PROBE_LIMIT) {
-            let i = if self.next < n { self.next } else { 0 };
-            self.next = i + 1;
-            if let Some(buf) = Arc::get_mut(&mut self.slots[i]) {
-                debug_assert!(buf.capacity() >= MIN_SLAB);
-                buf.clear();
-                buf.extend_from_slice(data);
-                return Bytes::from(Arc::clone(&self.slots[i]));
-            }
-        }
-        self.grown += 1;
-        let mut buf = Vec::with_capacity(MIN_SLAB);
-        buf.extend_from_slice(data);
-        let slab = Arc::new(buf);
-        let out = Bytes::from(Arc::clone(&slab));
-        self.slots.push(slab);
-        out
-    }
-
-    /// Widen a [`FlatWire`] back to the general [`Packet`] form with a
-    /// pool-recycled payload — the lossless boundary conversion for fast
-    /// lanes that must hand a packet to monitor/retry machinery.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    pub fn packet_from_flat(&mut self, wire: &tcc_ht::packet::FlatWire) -> tcc_ht::packet::Packet {
-        tcc_ht::packet::Packet::posted_write(wire.addr, self.alloc_line(&wire.data))
-    }
-
     /// Number of slabs currently owned by the pool.
     pub fn slots(&self) -> usize {
         self.slots.len()
@@ -143,37 +108,6 @@ mod tests {
         }
         assert_eq!(p.grown, grown_before, "no growth once slabs are free");
         assert_eq!(p.slots(), 4);
-    }
-
-    #[test]
-    fn alloc_line_recycles_and_matches_general_alloc() {
-        let mut p = PayloadPool::new();
-        let mut line = [0u8; 64];
-        for (i, b) in line.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        for _ in 0..100 {
-            let b = p.alloc_line(&line);
-            assert_eq!(&b[..], &line[..]);
-            drop(b);
-        }
-        assert_eq!(p.slots(), 1, "dropped fast-lane payloads recycle");
-        assert_eq!(p.grown, 1);
-        // The two lanes share the same slab pool.
-        let g = p.alloc(&line);
-        assert_eq!(p.slots(), 1);
-        assert_eq!(&g[..], &line[..]);
-    }
-
-    #[test]
-    fn packet_from_flat_is_lossless() {
-        use tcc_ht::packet::{FlatWire, Packet};
-        let mut p = PayloadPool::new();
-        let wire = FlatWire::new(0xBEEFC0, [0x5A; 64]);
-        let pkt = p.packet_from_flat(&wire);
-        let direct = Packet::posted_write(0xBEEFC0, p.alloc(&[0x5A; 64]));
-        assert_eq!(pkt, direct);
-        assert_eq!(FlatWire::from_packet(&pkt), Some(wire));
     }
 
     #[test]
