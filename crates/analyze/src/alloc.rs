@@ -12,20 +12,21 @@
 //! `String::new/from`, `Rc/Arc::new`, `.collect()`, `.to_vec()`,
 //! `.to_string()`, `.to_owned()`.
 //!
-//! Call resolution and traversal are the shared engine's
-//! ([`crate::callgraph`]); this pass contributes only the allocation
-//! classifier and the two boundary predicates.
+//! Call resolution, traversal, diagnostics and the stale-ok dual check
+//! are the shared [`crate::obligation`] checker's; this pass contributes
+//! only the allocation classifier and its wording.
 //!
 //! `#[cfg_attr(lint, tcc_alloc_ok)]` marks a function as a *reviewed*
 //! allocation boundary (amortized growth, cold resize): traversal stops
-//! there and its body is not classified. Every use is counted in the
-//! report so un-reviewed escapes cannot creep in silently.
+//! there. Every use is counted in the report so un-reviewed escapes
+//! cannot creep in silently, and `alloc.stale-ok` flags a `tcc_alloc_ok`
+//! function that can no longer reach any allocation.
 
 use crate::callgraph::CallGraph;
+use crate::obligation::{self, Obligation};
 use crate::parse::{CallKind, CallSite};
 use crate::report::Diagnostic;
 use crate::Workspace;
-use std::collections::HashMap;
 
 /// Method names that allocate regardless of receiver.
 const ALLOC_METHODS: &[&str] = &[
@@ -56,90 +57,25 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
 
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// Why a function counts as directly allocating: the offending token
-/// and its line.
-struct AllocSite {
-    what: String,
-    line: u32,
-}
+const ALLOC: Obligation = Obligation {
+    pass: "alloc-reachability",
+    root: "tcc_no_alloc",
+    reviewed: "tcc_alloc_ok",
+    codes: ["alloc.direct", "alloc.transitive", "alloc.stale-ok"],
+    direct: "hot function allocates",
+    reaches: "hot function reaches an allocation",
+    stale: "tcc_alloc_ok on a function that cannot allocate (stale escape hatch)",
+    hint: "a reviewed cold-path allocation can be exempted with \
+           #[cfg_attr(lint, tcc_alloc_ok)] — see docs/static-analysis.md",
+    classify: classify_alloc,
+};
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     run_with(ws, &CallGraph::build(ws))
 }
 
 pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
-    // A function participates if it is outside test/exempt code and is
-    // not a reviewed boundary; boundaries are neither classified nor
-    // traversed through.
-    let participates = |i: usize| !ws.exempt(&ws.fns[i]) && !ws.fns[i].has_marker("tcc_alloc_ok");
-
-    // Per-function direct allocation classification (earliest site wins).
-    let mut direct: HashMap<usize, AllocSite> = HashMap::new();
-    for &i in &cg.live {
-        if !participates(i) {
-            continue;
-        }
-        for c in &cg.sites[i] {
-            if let Some(what) = classify_alloc(c) {
-                direct.entry(i).or_insert(AllocSite { what, line: c.line });
-                break;
-            }
-        }
-    }
-
-    // BFS from every annotated root; report the first path to an
-    // allocating function.
-    let mut out = Vec::new();
-    for &root in &cg.live {
-        let f = &ws.fns[root];
-        if !f.has_marker("tcc_no_alloc") || ws.exempt(f) {
-            continue;
-        }
-        let Some(chain) = cg.find_path(root, |n| direct.contains_key(&n), participates) else {
-            continue;
-        };
-        let bad = *chain.last().expect("chain holds at least the root");
-        let site = &direct[&bad];
-        let path: Vec<String> = chain.iter().map(|&i| ws.fns[i].display_name()).collect();
-        let bad_fn = &ws.fns[bad];
-        let code = if bad == root {
-            "alloc.direct"
-        } else {
-            "alloc.transitive"
-        };
-        let mut notes = vec![format!(
-            "{} in `{}` at {}:{}",
-            site.what,
-            bad_fn.display_name(),
-            ws.file(bad_fn).path,
-            site.line
-        )];
-        if bad != root {
-            notes.push(format!("call path: {}", path.join(" -> ")));
-            notes.push(
-                "a reviewed cold-path allocation can be exempted with \
-                 #[cfg_attr(lint, tcc_alloc_ok)] — see docs/static-analysis.md"
-                    .to_string(),
-            );
-        }
-        out.push(Diagnostic {
-            pass: "alloc-reachability",
-            code: code.to_string(),
-            file: ws.file(f).path.clone(),
-            line: f.line,
-            function: f.display_name(),
-            message: if bad == root {
-                format!("hot function allocates ({})", site.what)
-            } else {
-                format!(
-                    "hot function reaches an allocation through `{}`",
-                    bad_fn.display_name()
-                )
-            },
-            notes,
-        });
-    }
-    out
+    obligation::check(ws, cg, &ALLOC)
 }
 
 /// Is this call site itself an allocation?

@@ -1,9 +1,10 @@
 //! Intraprocedural control-flow graphs over the token stream.
 //!
-//! The six existing passes are either interprocedural reachability over
-//! [`crate::callgraph`] or token-order DFAs inside one body; neither can
-//! see that an early `return` skips a `release()` call. This module
-//! builds, per function body, a graph of *basic blocks* — each block a
+//! Interprocedural reachability over [`crate::callgraph`] and
+//! token-order scans inside one body cannot see that an early `return`
+//! skips a `release()` call, or that an `if` and its `else` never both
+//! run. This module builds, per function body, a graph of *basic
+//! blocks* — each block a
 //! list of contiguous token ranges (`segs`) — connected by edges for the
 //! constructs that actually bend control flow in this workspace:
 //!
@@ -13,7 +14,7 @@
 //! * `loop` / `while` / `while let` / `for`, with a back-edge to the
 //!   head so [`crate::dataflow`] knows where to widen, and labelled
 //!   `break` / `continue` resolved through a loop-context stack;
-//! * the early exits the linear-resource pass exists for: `return`,
+//! * the early exits the path-sensitive passes exist for: `return`,
 //!   `?` (an edge to the exit block *and* a fall-through split), and
 //!   implicit fall-off-the-end.
 //!
@@ -31,7 +32,8 @@
 use crate::lexer::{Tok, TokKind};
 use crate::parse::skip_balanced;
 
-/// Why an edge exists. The dataflow solver widens on `Back`; the
+/// Why an edge exists. The dataflow solver widens on `Back` and the
+/// phase pass restarts its barrier interval at `Back` targets; the
 /// resource pass reports leaks on the three exit kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeKind {

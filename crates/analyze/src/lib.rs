@@ -15,22 +15,25 @@
 //! **once** ([`callgraph`] — shared name resolution, generic fixpoint
 //! propagation and path-finding BFS), builds intraprocedural CFGs on
 //! demand ([`cfg`] + the [`dataflow`] worklist solver), and runs seven
-//! passes:
+//! passes. `alloc-reachability` and `panic-freedom` are one checker
+//! ([`obligation`]) configured twice; the path-sensitive passes
+//! (`epoch-phase`, `linear-resource`) both run on the CFG solver.
 //!
 //! | pass | module | checks |
 //! |---|---|---|
-//! | `alloc-reachability` | [`alloc`] | `#[cfg_attr(lint, tcc_no_alloc)]` functions never *transitively* reach an allocating call |
+//! | `alloc-reachability` | [`alloc`] on [`obligation`] | `#[cfg_attr(lint, tcc_no_alloc)]` functions never *transitively* reach an allocating call |
 //! | `lock-order` | [`locks`] | the may-hold-while-acquiring graph over `Mutex::lock` sites is acyclic |
 //! | `time-arith` | [`timearith`] | raw `+`/`-`/`*` on picosecond-valued expressions use `checked_`/`saturating_` forms or a blessed newtype op |
 //! | `determinism` | [`determinism`] | no wallclock, no `HashMap`/`HashSet` iteration, no entropy-seeded randomness in simulation code |
-//! | `panic-freedom` | [`panics`] | `#[cfg_attr(lint, tcc_no_panic)]` functions never *transitively* reach `unwrap`/`expect`/`panic!`-family sites |
-//! | `epoch-phase` | [`phase`] | the engine's epoch machine keeps drain → minima → stage → publish order and never bypasses the mailbox handoff |
-//! | `linear-resource` | [`resource`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, batches) on *every* CFG path |
+//! | `panic-freedom` | [`panics`] on [`obligation`] | `#[cfg_attr(lint, tcc_no_panic)]` functions never *transitively* reach `unwrap`/`expect`/`panic!`-family sites |
+//! | `epoch-phase` | [`phase`] on [`cfg`] + [`dataflow`] | on every path through a barrier interval, the engine's epoch machine keeps drain → minima → stage → publish order; it never bypasses the mailbox handoff |
+//! | `linear-resource` | [`resource`] on [`cfg`] + [`dataflow`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, batches) on *every* CFG path |
 //!
 //! Escape hatches are explicit and auditable: `#[cfg_attr(lint,
 //! tcc_alloc_ok)]` marks an amortized/cold allocation the reachability
-//! pass may stop at, `#[cfg_attr(lint, tcc_panic_ok)]` a reviewed
-//! deliberate protocol panic (kept honest by `panic.stale-ok`),
+//! pass may stop at (kept honest by `alloc.stale-ok`), `#[cfg_attr(lint,
+//! tcc_panic_ok)]` a reviewed deliberate protocol panic (kept honest by
+//! `panic.stale-ok`),
 //! `#[cfg_attr(lint, tcc_transfer_ok)]` a reviewed ownership handoff
 //! the resource pass may exit holding (kept honest by
 //! `resource.stale-ok`), and a `// tcc-analyze: allow(<code>)` comment
@@ -51,6 +54,7 @@ pub mod dataflow;
 pub mod determinism;
 pub mod lexer;
 pub mod locks;
+pub mod obligation;
 pub mod panics;
 pub mod parse;
 pub mod phase;

@@ -79,12 +79,12 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
         let mut here = Vec::new();
         for c in &cg.sites[i] {
             if c.kind == CallKind::Method && LOCK_METHODS.contains(&c.name.as_str()) {
-                let id = receiver_chain(toks, c.tok);
+                let (id, chain_start) = receiver_chain(toks, c.tok);
                 here.push(Acq {
                     id,
                     tok: c.tok,
                     line: c.line,
-                    hold_end: hold_end(toks, body, c.tok),
+                    hold_end: hold_end(toks, body, c.tok, chain_start),
                 });
             }
         }
@@ -249,52 +249,10 @@ fn reach(
     None
 }
 
-/// How long may the guard produced at `lock_tok` be held?
-fn hold_end(toks: &[Tok], body: (usize, usize), lock_tok: usize) -> usize {
+/// How long may the guard produced at `lock_tok` (whose receiver chain
+/// starts at `chain_start`) be held?
+fn hold_end(toks: &[Tok], body: (usize, usize), lock_tok: usize, chain_start: usize) -> usize {
     let (_, bend) = body;
-    // Find the start of the receiver chain, then the statement start.
-    let mut chain_start = lock_tok;
-    {
-        let mut k = lock_tok as isize - 2;
-        while k >= 0 {
-            let t = &toks[k as usize];
-            match t.text.as_str() {
-                "]" | ")" => {
-                    let (open, close) = if t.text == "]" {
-                        ("[", "]")
-                    } else {
-                        ("(", ")")
-                    };
-                    let mut depth = 0i32;
-                    while k >= 0 {
-                        let s = toks[k as usize].text.as_str();
-                        if s == close {
-                            depth += 1;
-                        } else if s == open {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        k -= 1;
-                    }
-                    chain_start = k.max(0) as usize;
-                    k -= 1;
-                }
-                _ if (t.kind == TokKind::Ident && !is_keyword(&t.text) || t.text == "self")
-                    || t.kind == TokKind::Lit =>
-                {
-                    chain_start = k as usize;
-                    if k >= 1 && toks[(k - 1) as usize].is(".") {
-                        k -= 2;
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
     // Statement tokens run back to the nearest `;`/`{`/`}`.
     let mut stmt_start = chain_start;
     while stmt_start > 0 {

@@ -25,132 +25,46 @@
 //!
 //! `#[cfg_attr(lint, tcc_panic_ok)]` marks a *reviewed* deliberate
 //! protocol panic (the contended-slot panic in `handoff.rs`, the fatal
-//! funnels): traversal stops there, the body is not classified, and a
-//! justification comment is expected at the site. To keep the escape
-//! hatch honest, `panic.stale-ok` flags any `tcc_panic_ok` function that
-//! cannot actually reach a panic site — a stale annotation is a reviewed
-//! hole waiting for code to fill it.
+//! funnels): traversal stops there, and a justification comment is
+//! expected at the site. To keep the escape hatch honest,
+//! `panic.stale-ok` flags any `tcc_panic_ok` function that cannot
+//! actually reach a panic site — a stale annotation is a reviewed hole
+//! waiting for code to fill it.
+//!
+//! Traversal, diagnostics and the stale-ok check are the shared
+//! [`crate::obligation`] checker's; this pass supplies the panic
+//! classifier and its wording.
 
 use crate::callgraph::CallGraph;
+use crate::obligation::{self, Obligation};
 use crate::parse::{CallKind, CallSite};
 use crate::report::Diagnostic;
 use crate::Workspace;
-use std::collections::HashMap;
 
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Why a function counts as directly panicking: the offending construct
-/// and its line.
-struct PanicSite {
-    what: String,
-    line: u32,
-}
+const PANIC: Obligation = Obligation {
+    pass: "panic-freedom",
+    root: "tcc_no_panic",
+    reviewed: "tcc_panic_ok",
+    codes: ["panic.reachable", "panic.reachable", "panic.stale-ok"],
+    direct: "no-panic function can panic",
+    reaches: "no-panic function reaches a panic",
+    stale: "tcc_panic_ok on a function that cannot panic (stale escape hatch)",
+    hint: "restructure to a typed error or an invariant-carrying form; a \
+           reviewed deliberate protocol panic can be exempted with \
+           #[cfg_attr(lint, tcc_panic_ok)] + a justification comment — see \
+           docs/static-analysis.md",
+    classify: classify_panic,
+};
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     run_with(ws, &CallGraph::build(ws))
 }
 
 pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
-    // Classify direct panic sites for every live non-exempt function
-    // (including tcc_panic_ok ones — the stale-ok check needs those).
-    let mut direct: HashMap<usize, PanicSite> = HashMap::new();
-    for &i in &cg.live {
-        if ws.exempt(&ws.fns[i]) {
-            continue;
-        }
-        for c in &cg.sites[i] {
-            if let Some(what) = classify_panic(c) {
-                direct.entry(i).or_insert(PanicSite { what, line: c.line });
-                break;
-            }
-        }
-    }
-
-    // Reachability from each tcc_no_panic root. tcc_panic_ok functions
-    // are boundaries: their (reviewed) panic neither counts as a target
-    // nor is traversed through.
-    let reviewed = |i: usize| ws.fns[i].has_marker("tcc_panic_ok");
-    let enter = |i: usize| !ws.exempt(&ws.fns[i]) && !reviewed(i);
-    let target = |i: usize| direct.contains_key(&i) && !reviewed(i);
-
-    let mut out = Vec::new();
-    for &root in &cg.live {
-        let f = &ws.fns[root];
-        if !f.has_marker("tcc_no_panic") || ws.exempt(f) || reviewed(root) {
-            continue;
-        }
-        let Some(chain) = cg.find_path(root, target, enter) else {
-            continue;
-        };
-        let bad = *chain.last().expect("chain holds at least the root");
-        let site = &direct[&bad];
-        let path: Vec<String> = chain.iter().map(|&i| ws.fns[i].display_name()).collect();
-        let bad_fn = &ws.fns[bad];
-        let mut notes = vec![format!(
-            "{} in `{}` at {}:{}",
-            site.what,
-            bad_fn.display_name(),
-            ws.file(bad_fn).path,
-            site.line
-        )];
-        if bad != root {
-            notes.push(format!("call path: {}", path.join(" -> ")));
-        }
-        notes.push(
-            "restructure to a typed error or an invariant-carrying form; a \
-             reviewed deliberate protocol panic can be exempted with \
-             #[cfg_attr(lint, tcc_panic_ok)] + a justification comment — see \
-             docs/static-analysis.md"
-                .to_string(),
-        );
-        out.push(Diagnostic {
-            pass: "panic-freedom",
-            code: "panic.reachable".to_string(),
-            file: ws.file(f).path.clone(),
-            line: f.line,
-            function: f.display_name(),
-            message: if bad == root {
-                format!("no-panic function can panic ({})", site.what)
-            } else {
-                format!(
-                    "no-panic function reaches a panic through `{}`",
-                    bad_fn.display_name()
-                )
-            },
-            notes,
-        });
-    }
-
-    // Stale escape hatches: a tcc_panic_ok function that cannot reach
-    // any panic site (through any non-exempt code, boundaries included)
-    // is a reviewed hole with nothing behind it.
-    for &i in &cg.live {
-        let f = &ws.fns[i];
-        if ws.exempt(f) || !reviewed(i) {
-            continue;
-        }
-        let reaches = cg
-            .find_path(i, |n| direct.contains_key(&n), |n| !ws.exempt(&ws.fns[n]))
-            .is_some();
-        if !reaches {
-            out.push(Diagnostic {
-                pass: "panic-freedom",
-                code: "panic.stale-ok".to_string(),
-                file: ws.file(f).path.clone(),
-                line: f.line,
-                function: f.display_name(),
-                message: "tcc_panic_ok on a function that cannot panic (stale escape hatch)"
-                    .to_string(),
-                notes: vec![
-                    "remove the annotation — reviewed exemptions must cover a real, \
-                     deliberate panic site"
-                        .to_string(),
-                ],
-            });
-        }
-    }
-    out
+    obligation::check(ws, cg, &PANIC)
 }
 
 /// Is this call site itself an explicit panic construct?

@@ -21,12 +21,17 @@
 //!    `Cell::take` from masquerading as mailbox drains.
 //! 2. Rank sets propagate through the shared call graph (a function that
 //!    calls `drain_mail` is consumer-side wherever it is called).
-//! 3. Each in-scope function's body is replayed in token order: a site
-//!    whose lowest rank precedes the highest rank already performed in
-//!    the same barrier interval is a protocol violation. Loop heads reset
-//!    the interval (the back edge crosses B0 by construction). Sites
-//!    whose rank set spans both consumer (0–1) and producer (2–3) work —
-//!    complete epoch machines like `run_inline` — are neutral.
+//! 3. Each in-scope function's body runs through [`crate::cfg::build`]
+//!    and [`crate::dataflow::solve`]. The fact is the highest rank done
+//!    so far in the current barrier interval, with the site that set it;
+//!    arms join by maximum rank at a merge, and an early exit ends its
+//!    path. A site whose lowest rank is below that fact is a protocol
+//!    violation. A loop head (the target of a back edge) resets the
+//!    interval: the epoch loop's back edge crosses B0, and a `for` or
+//!    `while` loop exits through its head, so its body's ranks do not
+//!    reach the code after it either. Sites whose rank set spans both
+//!    consumer (0–1) and producer (2–3) work — complete epoch machines
+//!    like `run_worker` — are neutral.
 //! 4. Cross-shard *mutable* access that bypasses the handoff API — a
 //!    mutating method call whose receiver chain starts at `shards[_]`
 //!    inside a phase-ranked function — is `phase.shard-escape`.
@@ -37,6 +42,8 @@
 //! carry their ranks in.
 
 use crate::callgraph::{receiver_chain, CallGraph};
+use crate::cfg::{self, Cfg, EdgeKind};
+use crate::dataflow::{self, Analysis};
 use crate::parse::CallKind;
 use crate::report::Diagnostic;
 use crate::Workspace;
@@ -76,11 +83,7 @@ const MUTATORS: &[&str] = &[
 ];
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    run_with(ws, &CallGraph::build(ws))
-}
-
-pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
-    run_with_stats(ws, cg).0
+    run_with_stats(ws, &CallGraph::build(ws)).0
 }
 
 /// Run the pass and also report how many in-scope functions carry a
@@ -122,15 +125,9 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
         let toks = &ws.file(f).toks;
         let body = f.body.expect("live fns have bodies");
 
-        // 3. Merge anchors and callee summaries into one token-ordered
-        // event stream (a may-resolved site can contribute several
-        // edges at one token — union the bits).
-        #[derive(Default)]
-        struct Event {
-            bits: u8,
-            line: u32,
-            desc: String,
-        }
+        // 3. Merge anchors and callee summaries into one event per token
+        // (a may-resolved site can contribute several edges at one token
+        // — union the bits). Complete epoch machines are neutral.
         let mut events: BTreeMap<usize, Event> = BTreeMap::new();
         for c in &cg.sites[i] {
             if let Some(r) = anchor_rank(toks, c) {
@@ -151,72 +148,52 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
                 ev.desc = format!("call to `{}`", ws.fns[e.callee].display_name());
             }
         }
-
-        // Loop heads reset the barrier interval: the epoch loop's back
-        // edge crosses B0, so order constraints do not span iterations.
-        let resets: Vec<usize> = (body.0..body.1.min(toks.len()))
-            .filter(|&k| matches!(toks[k].text.as_str(), "loop" | "while" | "for"))
-            .collect();
-
-        let mut next_reset = 0usize;
-        let mut hi: i8 = -1;
-        let mut hi_line = 0u32;
-        let mut hi_desc = String::new();
-        for (&tok, ev) in &events {
-            while next_reset < resets.len() && resets[next_reset] < tok {
-                hi = -1;
-                next_reset += 1;
-            }
-            let consumer = ev.bits & CONSUMER_BITS != 0;
-            let producer = ev.bits & PRODUCER_BITS != 0;
-            if consumer && producer {
-                continue; // complete epoch machine: neutral
-            }
-            let lo = ev.bits.trailing_zeros() as i8;
-            let top = (0..4).rev().find(|r| ev.bits & (1 << r) != 0).unwrap_or(0) as i8;
-            if lo < hi {
-                let (code, message) = if hi >= 2 {
+        events.retain(|_, ev| ev.bits & CONSUMER_BITS == 0 || ev.bits & PRODUCER_BITS == 0);
+        let graph = cfg::build(toks, body);
+        let mut heads = vec![false; graph.blocks.len()];
+        for e in graph.blocks.iter().flat_map(|b| &b.succs) {
+            heads[e.to] |= e.kind == EdgeKind::Back;
+        }
+        let interval = Interval {
+            graph: &graph,
+            events: &events,
+            heads,
+        };
+        for (b, entry) in dataflow::solve(&graph, &interval).into_iter().enumerate() {
+            let Some(mut done) = entry else { continue };
+            interval.walk(b, &mut done, |ev, lo, (hi, hi_tok)| {
+                let (code, why) = if hi >= 2 {
                     (
                         "phase.producer-after-barrier",
-                        format!(
-                            "{} follows {} in the same barrier interval — the \
-                             producer-side operation escapes into the post-barrier region",
-                            RANK_DESC[lo as usize], RANK_DESC[hi as usize]
-                        ),
+                        "in the same barrier interval — the producer-side operation \
+                         escapes into the post-barrier region",
                     )
                 } else {
                     (
                         "phase.drain-after-minima",
-                        format!(
-                            "{} follows {} — shards must finish draining before \
-                             horizon minima are computed",
-                            RANK_DESC[lo as usize], RANK_DESC[hi as usize]
-                        ),
+                        "— shards must finish draining before horizon minima are computed",
                     )
                 };
+                let (lo, hi, by) = (
+                    RANK_DESC[lo as usize],
+                    RANK_DESC[hi as usize],
+                    &events[&hi_tok],
+                );
                 out.push(Diagnostic {
                     pass: "epoch-phase",
                     code: code.to_string(),
                     file: path.clone(),
                     line: ev.line,
                     function: f.display_name(),
+                    message: format!("{lo} follows {hi} {why}"),
                     notes: vec![
-                        format!(
-                            "{} at {}:{} ({})",
-                            RANK_DESC[hi as usize], path, hi_line, hi_desc
-                        ),
+                        format!("{hi} at {path}:{} ({})", by.line, by.desc),
                         "epoch protocol order within one barrier interval: drain -> \
                          minima -> stage -> publish -> barrier B0 (docs/engine.md)"
                             .to_string(),
                     ],
-                    message,
                 });
-            }
-            if top > hi {
-                hi = top;
-                hi_line = ev.line;
-                hi_desc = ev.desc.clone();
-            }
+            });
         }
 
         // 4. Shard-escape: phase-ranked code mutating another shard's
@@ -226,7 +203,7 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
                 if c.kind != CallKind::Method || !MUTATORS.contains(&c.name.as_str()) {
                     continue;
                 }
-                let chain = receiver_chain(toks, c.tok);
+                let chain = receiver_chain(toks, c.tok).0;
                 if chain.starts_with("shards[_]") {
                     out.push(Diagnostic {
                         pass: "epoch-phase",
@@ -250,6 +227,69 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
     (out, ranked_in_scope)
 }
 
+/// A ranked call site in one body: its rank bits, line and how to name it.
+#[derive(Default)]
+struct Event {
+    bits: u8,
+    line: u32,
+    desc: String,
+}
+
+/// The dataflow fact: the highest rank done so far in the current
+/// barrier interval and the token of the site that set it (`None` right
+/// after a barrier).
+type Done = Option<(u8, usize)>;
+
+/// The epoch-order problem over one body's CFG.
+struct Interval<'a> {
+    graph: &'a Cfg,
+    events: &'a BTreeMap<usize, Event>,
+    /// Loop heads: back-edge targets, where the interval restarts.
+    heads: Vec<bool>,
+}
+
+impl Interval<'_> {
+    /// Push `done` through `block`; `flag(event, lowest rank, done)`
+    /// fires for every event whose lowest rank precedes work already
+    /// done in its interval.
+    fn walk(&self, block: usize, done: &mut Done, mut flag: impl FnMut(&Event, u8, (u8, usize))) {
+        if self.heads[block] {
+            *done = None;
+        }
+        let segs = &self.graph.blocks[block].segs;
+        for (&tok, ev) in segs.iter().flat_map(|&(a, b)| self.events.range(a..b)) {
+            let lo = ev.bits.trailing_zeros() as u8;
+            let top = 7 - ev.bits.leading_zeros() as u8;
+            if let Some(d) = done.filter(|d| lo < d.0) {
+                flag(ev, lo, d);
+            }
+            if done.is_none_or(|d| top > d.0) {
+                *done = Some((top, tok));
+            }
+        }
+    }
+}
+
+impl Analysis for Interval<'_> {
+    type Fact = Done;
+
+    fn entry(&self) -> Done {
+        None
+    }
+
+    fn transfer(&self, block: usize, fact: &mut Done) {
+        self.walk(block, fact, |_, _, _| {});
+    }
+
+    fn join(&self, into: &mut Done, from: &Done) -> bool {
+        let grows = from.map(|d| d.0) > into.map(|d| d.0);
+        if grows {
+            *into = *from;
+        }
+        grows
+    }
+}
+
 fn in_scope(ws: &Workspace, path: &str) -> bool {
     ws.synthetic || path == "crates/core/src/engine.rs"
 }
@@ -260,10 +300,10 @@ fn in_scope(ws: &Workspace, path: &str) -> bool {
 fn anchor_rank(toks: &[crate::lexer::Tok], c: &crate::parse::CallSite) -> Option<u8> {
     match (c.kind, c.name.as_str()) {
         (CallKind::Method | CallKind::Path, "peek_time") => Some(1),
-        (CallKind::Method, "take") => ring_like(&receiver_chain(toks, c.tok)).then_some(0),
-        (CallKind::Method, "publish") => ring_like(&receiver_chain(toks, c.tok)).then_some(3),
+        (CallKind::Method, "take") => ring_like(&receiver_chain(toks, c.tok).0).then_some(0),
+        (CallKind::Method, "publish") => ring_like(&receiver_chain(toks, c.tok).0).then_some(3),
         (CallKind::Method, "push" | "push_back" | "extend" | "extend_from_slice" | "append") => {
-            staging_like(&receiver_chain(toks, c.tok)).then_some(2)
+            staging_like(&receiver_chain(toks, c.tok).0).then_some(2)
         }
         _ => None,
     }
@@ -369,6 +409,115 @@ mod tests {
             ",
         );
         assert!(d.is_empty(), "publish then loop-reset then take: {d:?}");
+    }
+
+    #[test]
+    fn exclusive_if_else_arms_do_not_order_each_other() {
+        let d = diags(
+            "
+            impl Worker {
+                fn either(&mut self, produce: bool) {
+                    if produce {
+                        self.ring.publish(&mut self.outbox);
+                    } else {
+                        self.ring.take(&mut self.scratch);
+                    }
+                }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn exclusive_match_arms_do_not_order_each_other() {
+        let d = diags(
+            "
+            impl Worker {
+                fn either(&mut self, side: Side) {
+                    match side {
+                        Side::Producer => self.ring.publish(&mut self.outbox),
+                        Side::Consumer => self.ring.take(&mut self.scratch),
+                    };
+                }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn an_early_return_ends_the_publishing_path() {
+        let d = diags(
+            "
+            impl Worker {
+                fn step(&mut self, last: bool) {
+                    if last {
+                        self.ring.publish(&mut self.outbox);
+                        return;
+                    }
+                    self.ring.take(&mut self.scratch);
+                }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn a_one_armed_if_still_reaches_the_code_after_it() {
+        let d = diags(
+            "
+            impl Worker {
+                fn bad(&mut self, flush: bool) {
+                    if flush {
+                        self.ring.publish(&mut self.outbox);
+                    }
+                    self.ring.take(&mut self.scratch);
+                }
+            }
+            ",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, "phase.producer-after-barrier");
+    }
+
+    #[test]
+    fn break_leaves_a_loop_without_crossing_its_head() {
+        let d = diags(
+            "
+            impl Worker {
+                fn bad(&mut self) {
+                    loop {
+                        self.ring.publish(&mut self.outbox);
+                        break;
+                    }
+                    self.ring.take(&mut self.scratch);
+                }
+            }
+            ",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, "phase.producer-after-barrier");
+    }
+
+    #[test]
+    fn a_for_loop_exits_through_its_head_which_resets_the_interval() {
+        // The exit edge leaves from the loop head, which the pass models
+        // as B0: the body's publish does not order the `take` after it.
+        let d = diags(
+            "
+            impl Worker {
+                fn run(&mut self, n: usize) {
+                    for _ in 0..n {
+                        self.ring.publish(&mut self.outbox);
+                    }
+                    self.ring.take(&mut self.scratch);
+                }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]

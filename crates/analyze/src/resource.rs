@@ -54,9 +54,8 @@ const CAP: i8 = 8;
 const HELD: u8 = 1;
 const RELEASED: u8 = 2;
 
-/// Run the pass; plain diagnostics only (fixture entry point).
-pub fn run_with(ws: &Workspace, cg: &CallGraph) -> Vec<Diagnostic> {
-    run_with_stats(ws, cg).0
+pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+    run_with_stats(ws, &CallGraph::build(ws)).0
 }
 
 /// Run the pass and report the guard metrics: how many functions were
@@ -584,10 +583,8 @@ fn diag(
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> Vec<Diagnostic> {
-        let ws = Workspace::from_sources(&[("fix.rs", src)]);
-        let cg = CallGraph::build(&ws);
-        run_with(&ws, &cg)
+    fn diags(src: &str) -> Vec<Diagnostic> {
+        run(&Workspace::from_sources(&[("fix.rs", src)]))
     }
 
     const ANCHORS: &str = "
@@ -614,7 +611,7 @@ mod tests {
                 Ok(())
             }}"
         );
-        let d = run(&src);
+        let d = diags(&src);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!(d[0].code, "resource.leak");
         // Anchored to the early return, not the balanced tail exit.
@@ -632,7 +629,7 @@ mod tests {
                 Ok(())
             }}"
         );
-        let d = run(&src);
+        let d = diags(&src);
         assert!(d.is_empty(), "{d:#?}");
     }
 
@@ -647,7 +644,7 @@ mod tests {
                 }}
             }}"
         );
-        let d = run(&src);
+        let d = diags(&src);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!(d[0].code, "resource.leak");
     }
@@ -661,7 +658,7 @@ mod tests {
                 let _ = p.consume();
             }}"
         );
-        assert!(run(&handoff).is_empty());
+        assert!(diags(&handoff).is_empty());
 
         let stale = format!(
             "{ANCHORS}
@@ -671,7 +668,7 @@ mod tests {
                 p.release();
             }}"
         );
-        let d = run(&stale);
+        let d = diags(&stale);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!(d[0].code, "resource.stale-ok");
     }
@@ -699,7 +696,7 @@ mod tests {
                 v + h
             }
         ";
-        let d = run(src);
+        let d = diags(src);
         let codes: Vec<&str> = d.iter().map(|d| d.code.as_str()).collect();
         assert!(codes.contains(&"resource.double-release"), "{d:#?}");
         assert!(codes.contains(&"resource.use-after-release"), "{d:#?}");

@@ -5,7 +5,6 @@
 //! substring scan it replaced.
 
 use std::path::Path;
-use tcc_analyze::callgraph::CallGraph;
 use tcc_analyze::{
     alloc, determinism, locks, panics, phase, resource, run_all, timearith, Workspace,
     LOCK_SITES_FLOOR, NO_ALLOC_BASELINE, NO_PANIC_BASELINE, PHASE_RANKED_FLOOR, RESOURCE_BASELINE,
@@ -13,6 +12,7 @@ use tcc_analyze::{
 };
 
 const ALLOC_TRANSITIVE: &str = include_str!("fixtures/alloc_transitive.rs");
+const ALLOC_STALE_OK: &str = include_str!("fixtures/alloc_stale_ok.rs");
 const LOCK_CYCLE: &str = include_str!("fixtures/lock_cycle.rs");
 const LOCK_CLEAN: &str = include_str!("fixtures/lock_clean.rs");
 const TIME_OVERFLOW: &str = include_str!("fixtures/time_overflow.rs");
@@ -35,12 +35,8 @@ fn ws(name: &str, src: &str) -> Workspace {
     Workspace::from_sources(&[(name, src)])
 }
 
-/// The linear-resource pass needs the shared call graph for anchor
-/// resolution; fixture entry point.
 fn resource_run(name: &str, src: &str) -> Vec<tcc_analyze::report::Diagnostic> {
-    let ws = ws(name, src);
-    let cg = CallGraph::build(&ws);
-    resource::run_with(&ws, &cg)
+    resource::run(&ws(name, src))
 }
 
 #[test]
@@ -56,6 +52,14 @@ fn alloc_pass_catches_transitive_allocation() {
         "diagnostic must name the call path: {:#?}",
         d[0].notes
     );
+}
+
+#[test]
+fn alloc_pass_flags_a_stale_escape_hatch() {
+    let d = alloc::run(&ws("alloc_stale_ok.rs", ALLOC_STALE_OK));
+    assert_eq!(d.len(), 1, "{d:#?}");
+    assert_eq!(d[0].code, "alloc.stale-ok");
+    assert_eq!(d[0].function, "Table::grow");
 }
 
 /// The scan `cargo xtask lint` ran before this crate existed: extract the
