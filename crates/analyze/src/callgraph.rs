@@ -26,12 +26,10 @@
 //! * [`receiver_chain`] — the normalised receiver spelling (`self.`
 //!   stripped, indices abstracted to `[_]`, argument lists to `(_)`) that
 //!   the lock pass uses as a lock identity and the phase pass uses to
-//!   tell `BatchRing::take` receivers from `Option::take` ones. It also
-//!   returns where the chain starts, which the lock pass needs to find
-//!   the statement a guard lives in.
+//!   tell `BatchRing::take` receivers from `Option::take` ones.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{call_sites, is_keyword, CallKind, CallSite, FnDef};
+use crate::parse::{call_sites, group_start, is_keyword, CallKind, CallSite, FnDef};
 use crate::Workspace;
 use std::collections::{HashMap, VecDeque};
 
@@ -270,11 +268,8 @@ fn resolve(
 /// abstracting indices to `[_]`, argument lists to `(_)` and stripping a
 /// leading `self.` — so `self.inboxes[dst].0.lock()` and
 /// `self.inboxes[src].0.lock()` share the spelling `inboxes[_].0`.
-/// Also returns the index of the chain's first token (`call_tok` when
-/// there is no receiver).
-pub fn receiver_chain(toks: &[Tok], call_tok: usize) -> (String, usize) {
+pub fn receiver_chain(toks: &[Tok], call_tok: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
-    let mut start = call_tok;
     // toks[call_tok] is the method name; toks[call_tok - 1] is `.`.
     let mut k = call_tok as isize - 2;
     while k >= 0 {
@@ -286,28 +281,14 @@ pub fn receiver_chain(toks: &[Tok], call_tok: usize) -> (String, usize) {
                 } else {
                     ("(", ")", "(_)")
                 };
-                let mut depth = 0i32;
-                while k >= 0 {
-                    let s = toks[k as usize].text.as_str();
-                    if s == close {
-                        depth += 1;
-                    } else if s == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k -= 1;
-                }
+                k = group_start(toks, k as usize, open, close) as isize;
                 parts.push(abs.to_string());
-                start = k.max(0) as usize;
                 k -= 1;
             }
             _ if (t.kind == TokKind::Ident && !is_keyword(&t.text) || t.text == "self")
                 || t.kind == TokKind::Lit =>
             {
                 parts.push(t.text.clone());
-                start = k as usize;
                 if k >= 1 && toks[(k - 1) as usize].is(".") {
                     k -= 2;
                 } else {
@@ -335,7 +316,7 @@ pub fn receiver_chain(toks: &[Tok], call_tok: usize) -> (String, usize) {
     if s.is_empty() {
         s.push_str("<expr>");
     }
-    (s, start)
+    s
 }
 
 #[cfg(test)]
@@ -441,8 +422,6 @@ mod tests {
             "fn f(&self) { self.inboxes[dst].0.lock(); }",
         );
         let lock = f.toks.iter().position(|t| t.text == "lock").unwrap();
-        let (chain, start) = receiver_chain(&f.toks, lock);
-        assert_eq!(chain, "inboxes[_].0");
-        assert!(f.toks[start].is("self"), "the chain starts at `self`");
+        assert_eq!(receiver_chain(&f.toks, lock), "inboxes[_].0");
     }
 }

@@ -30,7 +30,7 @@
 //! "never abort on code rustc accepts" rule.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::skip_balanced;
+use crate::parse::{expr_end, find_depth0, head_end, header_split, skip_balanced};
 
 /// Why an edge exists. The dataflow solver widens on `Back` and the
 /// phase pass restarts its barrier interval at `Back` targets; the
@@ -218,7 +218,7 @@ impl Builder<'_> {
                 }
                 (TokKind::Ident, "return") => {
                     self.seg(cur, seg, i + 1);
-                    let j = self.scan_expr(i + 1, hi, false);
+                    let j = expr_end(self.toks, i + 1, hi, false);
                     cur = self.walk(cur, i + 1, j);
                     self.edge(cur, EXIT, EdgeKind::Return, t.line);
                     cur = self.new_block();
@@ -234,7 +234,7 @@ impl Builder<'_> {
                         label = Some(self.toks[j].text.clone());
                         j += 1;
                     }
-                    let k = self.scan_expr(j, hi, true);
+                    let k = expr_end(self.toks, j, hi, true);
                     cur = self.walk(cur, j, k);
                     if let Some(after) = self.loop_target(&label).map(|c| c.after) {
                         self.edge(cur, after, EdgeKind::Flow, line);
@@ -307,96 +307,12 @@ impl Builder<'_> {
 
     /// `fn name(..) -> T { .. }` nested inside a body: index past it.
     fn skip_fn_item(&self, i: usize, hi: usize) -> usize {
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        while j < hi {
-            match self.toks[j].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => return skip_balanced(self.toks, j, "{", "}").min(hi),
-                ";" if depth == 0 => return j + 1,
-                _ => {}
-            }
-            j += 1;
+        let j = head_end(self.toks, i + 1, hi);
+        if self.at(j, "{") {
+            skip_balanced(self.toks, j, "{", "}").min(hi)
+        } else {
+            (j + 1).min(hi)
         }
-        hi
-    }
-
-    /// Find the `{` opening the body of an `if`/`match`/`while`/`for`
-    /// header starting at `start`. Handles `if let PAT =` / `while let
-    /// PAT =` (struct patterns may contain `{` before the `=`) and `for
-    /// PAT in` by skipping the pattern first; after that, Rust's ban on
-    /// struct literals in condition position makes the first depth-zero
-    /// `{` the body.
-    fn find_body_open(&self, start: usize, hi: usize) -> usize {
-        let mut j = start;
-        let mut depth = 0i32;
-        if self.at(j, "let") {
-            // Skip `PAT =` (the pattern may contain braces).
-            j += 1;
-            while j < hi {
-                match self.toks[j].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=" if depth <= 0 => {
-                        j += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            depth = 0;
-        } else if self.at(j.wrapping_sub(1), "for") {
-            // `for PAT in ...`: skip the pattern to `in`.
-            while j < hi {
-                match self.toks[j].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "in" if depth <= 0 && self.toks[j].kind == TokKind::Ident => {
-                        j += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            depth = 0;
-        }
-        while j < hi {
-            match self.toks[j].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth <= 0 => return j,
-                _ => {}
-            }
-            j += 1;
-        }
-        hi
-    }
-
-    /// Expression scan for `return`/`break` values: index of the
-    /// terminating token (`;`, end of range, enclosing delimiter, or —
-    /// when `stop_comma` — a depth-zero `,` such as a match-arm end).
-    fn scan_expr(&self, start: usize, hi: usize, stop_comma: bool) -> usize {
-        let mut j = start;
-        let mut depth = 0i32;
-        while j < hi {
-            match self.toks[j].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return j;
-                    }
-                    depth -= 1;
-                }
-                ";" if depth == 0 => return j,
-                "," if depth == 0 && stop_comma => return j,
-                _ => {}
-            }
-            j += 1;
-        }
-        hi
     }
 
     /// `if` / `else if` / `else` chain starting at `i` (the `if` token).
@@ -405,7 +321,7 @@ impl Builder<'_> {
     fn handle_if(&mut self, mut cur: usize, mut i: usize, hi: usize) -> (usize, usize) {
         let mut ends: Vec<usize> = Vec::new();
         loop {
-            let body_open = self.find_body_open(i + 1, hi);
+            let body_open = header_split(self.toks, i + 1, hi).1;
             if !self.at(body_open, "{") {
                 // Malformed: degrade to straight-line tokens.
                 self.seg(cur, i, (i + 1).min(hi));
@@ -455,7 +371,7 @@ impl Builder<'_> {
     /// arm patterns and guards stay in `cur` (they are evaluated during
     /// dispatch); every arm body gets a block; all arms merge.
     fn handle_match(&mut self, mut cur: usize, i: usize, hi: usize) -> (usize, usize) {
-        let body_open = self.find_body_open(i + 1, hi);
+        let body_open = header_split(self.toks, i + 1, hi).1;
         if !self.at(body_open, "{") {
             self.seg(cur, i, (i + 1).min(hi));
             return (cur, (i + 1).min(hi));
@@ -469,16 +385,7 @@ impl Builder<'_> {
         while k < inner_end {
             // Pattern (+ optional guard) up to `=>` at depth zero.
             let pat_start = k;
-            let mut depth = 0i32;
-            while k < inner_end {
-                match self.toks[k].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=>" if depth <= 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
+            k = find_depth0(self.toks, k, inner_end, &["=>"]);
             if k >= inner_end {
                 // Trailing junk after the last arm: keep it in the
                 // dispatch block and stop.
@@ -497,7 +404,7 @@ impl Builder<'_> {
                 arm_end = self.walk(arm, k + 1, aend.saturating_sub(1));
                 k = aend;
             } else {
-                let e = self.scan_expr(k, inner_end, true);
+                let e = expr_end(self.toks, k, inner_end, true);
                 arm_end = self.walk(arm, k, e);
                 k = e;
             }
@@ -530,7 +437,7 @@ impl Builder<'_> {
         let body_open = if kw == "loop" {
             i + 1
         } else {
-            self.find_body_open(i + 1, hi)
+            header_split(self.toks, i + 1, hi).1
         };
         if !self.at(body_open, "{") {
             self.seg(cur, i, (i + 1).min(hi));

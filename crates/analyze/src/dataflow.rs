@@ -14,7 +14,7 @@
 //!   long as the fact lattice has finite height (the resource pass
 //!   saturates its counters for exactly this reason) the loop stops.
 //! * **Widening at loop heads.** Edges the CFG marks
-//!   [`EdgeKind::Back`](crate::cfg::EdgeKind::Back) join through
+//!   [`EdgeKind::Back`] join through
 //!   [`Analysis::widen`] instead of [`Analysis::join`], so an analysis
 //!   can accelerate convergence across iterations (the default widen *is*
 //!   join, which is already finite for saturating lattices).

@@ -23,7 +23,7 @@
 //! its seeding, and tests may iterate freely.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{call_sites, CallKind};
+use crate::parse::{call_sites, header_split, type_head, CallKind, FnDef};
 use crate::report::Diagnostic;
 use crate::Workspace;
 use std::collections::BTreeSet;
@@ -57,7 +57,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         let Some(body) = f.body else { continue };
         let file = ws.file(f);
         let toks = &file.toks;
-        let hash_names = hash_locals(f, toks, &hash_fields);
+        let hash_names = hash_names(f, toks, &hash_fields);
 
         for c in call_sites(toks, body) {
             match c.kind {
@@ -125,23 +125,21 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         }
 
         // `for pat in <expr> {` iterating a hash container directly.
-        let (bs, be) = body;
-        let mut k = bs;
-        while k < be.min(toks.len()) {
-            if toks[k].is_ident("for") {
-                if let Some(line) = for_loop_over_hash(toks, k, be, &hash_names) {
-                    out.push(diag(
-                        "det.hashmap-iter",
-                        f,
-                        file,
-                        line,
-                        "`for` loop over a HashMap/HashSet: iteration order is unstable"
-                            .to_string(),
-                        "use a BTreeMap/BTreeSet, or collect-and-sort before iterating",
-                    ));
-                }
+        for k in body.0..body.1.min(toks.len()) {
+            if !toks[k].is_ident("for") {
+                continue;
             }
-            k += 1;
+            let (expr, open) = header_split(toks, k + 1, body.1);
+            if let Some(line) = iterates_hash(&toks[expr..open], &hash_names) {
+                out.push(diag(
+                    "det.hashmap-iter",
+                    f,
+                    file,
+                    line,
+                    "`for` loop over a HashMap/HashSet: iteration order is unstable".to_string(),
+                    "use a BTreeMap/BTreeSet, or collect-and-sort before iterating",
+                ));
+            }
         }
     }
     out
@@ -149,7 +147,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
 
 fn diag(
     code: &str,
-    f: &crate::parse::FnDef,
+    f: &FnDef,
     file: &crate::parse::SourceFile,
     line: u32,
     message: String,
@@ -166,143 +164,62 @@ fn diag(
     }
 }
 
-/// Hash-typed locals and parameters of one function.
-fn hash_locals(
-    f: &crate::parse::FnDef,
+/// Hash-typed names visible in one function: struct fields,
+/// parameters, and `let`s whose type or initializer names a hash type
+/// (`let m: HashMap<..>`, `let s = HashSet::new()`).
+fn hash_names<'a>(
+    f: &'a FnDef,
     toks: &[Tok],
-    hash_fields: &BTreeSet<&str>,
-) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = hash_fields.iter().map(|s| s.to_string()).collect();
-    let (ss, se) = f.sig;
-    let mut k = ss;
-    while k + 2 < se.min(toks.len()) {
-        if toks[k].kind == TokKind::Ident
-            && toks[k + 1].is(":")
-            && type_mentions_hash(&toks[k + 2..se])
-        {
-            names.insert(toks[k].text.clone());
-        }
-        k += 1;
-    }
-    let Some((bs, be)) = f.body else {
-        return names;
+    hash_fields: &BTreeSet<&'a str>,
+) -> BTreeSet<&'a str> {
+    let is_hash =
+        |(s, e): (usize, usize)| type_head(&toks[s..e]).is_some_and(|t| HASH_TYPES.contains(&t));
+    let mentions_hash = |(s, e): (usize, usize)| {
+        toks[s..e]
+            .iter()
+            .any(|t| HASH_TYPES.contains(&t.text.as_str()))
     };
-    let mut k = bs;
-    while k < be.min(toks.len()) {
-        if toks[k].is_ident("let") {
-            let mut n = k + 1;
-            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
-                n += 1;
-            }
-            if toks.get(n).map(|t| t.kind) == Some(TokKind::Ident) {
-                let name = &toks[n];
-                // `let x: HashMap<..>` or `let x = HashMap::new()` — scan
-                // to the end of the statement for the type name.
-                let mut m = n + 1;
-                let mut depth = 0i32;
-                let mut is_hash = false;
-                while m < be.min(toks.len()) {
-                    match toks[m].text.as_str() {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => {
-                            depth -= 1;
-                            if depth < 0 {
-                                break;
-                            }
-                        }
-                        ";" if depth == 0 => break,
-                        s if HASH_TYPES.contains(&s) => is_hash = true,
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                if is_hash {
-                    names.insert(name.text.clone());
-                }
-                k = m;
-                continue;
-            }
-        }
-        k += 1;
-    }
-    names
-}
-
-/// Does a type snippet name HashMap/HashSet at its head (past `&`/`mut`)?
-fn type_mentions_hash(toks: &[Tok]) -> bool {
-    for t in toks {
-        match t.text.as_str() {
-            "&" | "mut" | "dyn" => continue,
-            s if HASH_TYPES.contains(&s) => return true,
-            _ => return false,
-        }
-    }
-    false
+    let params = f
+        .params
+        .iter()
+        .filter(|p| is_hash(p.ty))
+        .map(|p| p.name.as_str());
+    let lets = f.bindings.iter().filter_map(|b| {
+        let hashed = b.is_let && (b.ty.is_some_and(is_hash) || b.init.is_some_and(mentions_hash));
+        b.name.as_deref().filter(|_| hashed)
+    });
+    hash_fields
+        .iter()
+        .copied()
+        .chain(params)
+        .chain(lets)
+        .collect()
 }
 
 /// Is the receiver chain of the iter-method call at `tok` a known hash
 /// container (last chain component before the method)?
-fn receiver_is_hash(toks: &[Tok], tok: usize, hash_names: &BTreeSet<String>) -> bool {
+fn receiver_is_hash(toks: &[Tok], tok: usize, hash_names: &BTreeSet<&str>) -> bool {
     // toks[tok] is the method name, toks[tok-1] the `.`.
     tok.checked_sub(2)
         .map(|k| &toks[k])
-        .is_some_and(|t| t.kind == TokKind::Ident && hash_names.contains(&t.text))
+        .is_some_and(|t| t.kind == TokKind::Ident && hash_names.contains(t.text.as_str()))
 }
 
-/// For a `for` keyword at `k`, does the iterated expression name a hash
-/// container that is consumed directly (or via an iter method)?
-fn for_loop_over_hash(
-    toks: &[Tok],
-    k: usize,
-    end: usize,
-    hash_names: &BTreeSet<String>,
-) -> Option<u32> {
-    // Find `in` at nesting depth 0, then the expression up to `{`.
-    let mut depth = 0i32;
-    let mut m = k + 1;
-    let mut in_at = None;
-    while m < end.min(toks.len()) {
-        match toks[m].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "in" if depth == 0 => {
-                in_at = Some(m);
-                break;
-            }
-            "{" => return None,
-            _ => {}
-        }
-        m += 1;
-    }
-    let start = in_at? + 1;
-    let mut m = start;
-    let mut depth = 0i32;
-    while m < end.min(toks.len()) {
-        let t = &toks[m];
-        match t.text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => return None,
-            _ if t.kind == TokKind::Ident && hash_names.contains(&t.text) => {
-                // Direct iteration (`&map`, `map`, `self.map`) or via an
-                // iter method; keyed access (`map.get(..)`) is fine.
-                let next = toks.get(m + 1);
-                let direct = next.is_none_or(|n| n.is("{"));
-                let via_iter = next.is_some_and(|n| n.is("."))
-                    && toks
+/// Does a `for` loop's iterated expression consume a hash container
+/// directly (`&map`, `self.map`) or through an iter method? Keyed access
+/// (`map.get(..)`) is fine. Returns the line of the container name.
+fn iterates_hash(expr: &[Tok], hash_names: &BTreeSet<&str>) -> Option<u32> {
+    let hit = expr.iter().enumerate().find(|&(m, t)| {
+        t.kind == TokKind::Ident
+            && hash_names.contains(t.text.as_str())
+            && expr.get(m + 1).is_none_or(|n| {
+                n.is(".")
+                    && expr
                         .get(m + 2)
-                        .is_some_and(|n| ITER_METHODS.contains(&n.text.as_str()));
-                if direct || via_iter {
-                    return Some(t.line);
-                }
-                m += 1;
-                continue;
-            }
-            _ => {}
-        }
-        m += 1;
-    }
-    None
+                        .is_some_and(|n| ITER_METHODS.contains(&n.text.as_str()))
+            })
+    });
+    hit.map(|(_, t)| t.line)
 }
 
 #[cfg(test)]
@@ -362,6 +279,13 @@ mod tests {
             }
             ",
         );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, "det.hashmap-iter");
+    }
+
+    #[test]
+    fn iteration_over_a_lifetime_borrowed_map_is_flagged() {
+        let d = diags("fn f<'a>(m: &'a HashMap<u64, u32>) -> u64 { m.keys().sum() }");
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].code, "det.hashmap-iter");
     }

@@ -10,11 +10,13 @@
 //! a hot function calling a helper that allocates.
 //!
 //! This crate parses every workspace crate with its own lexer and
-//! item/expression parser (no rustc dependency — in the spirit of the
-//! vendored loom/rayon shims), builds the intra-workspace call graph
+//! item/expression parser ([`parse`]: functions with their parameters
+//! and `let` bindings, struct fields, and the shared expression scans;
+//! no rustc dependency — in the spirit of the vendored loom/rayon
+//! shims), builds the intra-workspace call graph
 //! **once** ([`callgraph`] — shared name resolution, generic fixpoint
 //! propagation and path-finding BFS), builds intraprocedural CFGs on
-//! demand ([`cfg`] + the [`dataflow`] worklist solver), and runs seven
+//! demand ([`cfg`](mod@cfg) + the [`dataflow`] worklist solver), and runs seven
 //! passes. `alloc-reachability` and `panic-freedom` are one checker
 //! ([`obligation`]) configured twice; the path-sensitive passes
 //! (`epoch-phase`, `linear-resource`) both run on the CFG solver.
@@ -26,8 +28,8 @@
 //! | `time-arith` | [`timearith`] | raw `+`/`-`/`*` on picosecond-valued expressions use `checked_`/`saturating_` forms or a blessed newtype op |
 //! | `determinism` | [`determinism`] | no wallclock, no `HashMap`/`HashSet` iteration, no entropy-seeded randomness in simulation code |
 //! | `panic-freedom` | [`panics`] on [`obligation`] | `#[cfg_attr(lint, tcc_no_panic)]` functions never *transitively* reach `unwrap`/`expect`/`panic!`-family sites |
-//! | `epoch-phase` | [`phase`] on [`cfg`] + [`dataflow`] | on every path through a barrier interval, the engine's epoch machine keeps drain → minima → stage → publish order; it never bypasses the mailbox handoff |
-//! | `linear-resource` | [`resource`] on [`cfg`] + [`dataflow`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, batches) on *every* CFG path |
+//! | `epoch-phase` | [`phase`] on [`cfg`](mod@cfg) + [`dataflow`] | on every path through a barrier interval, the engine's epoch machine keeps drain → minima → stage → publish order; it never bypasses the mailbox handoff |
+//! | `linear-resource` | [`resource`] on [`cfg`](mod@cfg) + [`dataflow`] | `#[cfg_attr(lint, tcc_linear(kind))]` functions balance acquire/release anchors (credits, SrcTags, batches) on *every* CFG path |
 //!
 //! Escape hatches are explicit and auditable: `#[cfg_attr(lint,
 //! tcc_alloc_ok)]` marks an amortized/cold allocation the reachability

@@ -34,8 +34,8 @@
 //! clean verdict is vacuous (`cargo xtask lint` fails on it).
 
 use crate::callgraph::{receiver_chain, CallGraph};
-use crate::lexer::{Tok, TokKind};
-use crate::parse::{is_keyword, CallKind};
+use crate::lexer::Tok;
+use crate::parse::{expr_end, CallKind, FnDef};
 use crate::report::Diagnostic;
 use crate::Workspace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -75,16 +75,14 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
     for &i in &cg.live {
         let f = &ws.fns[i];
         let toks = &ws.file(f).toks;
-        let body = f.body.expect("live fns have bodies");
         let mut here = Vec::new();
         for c in &cg.sites[i] {
             if c.kind == CallKind::Method && LOCK_METHODS.contains(&c.name.as_str()) {
-                let (id, chain_start) = receiver_chain(toks, c.tok);
                 here.push(Acq {
-                    id,
+                    id: receiver_chain(toks, c.tok),
                     tok: c.tok,
                     line: c.line,
-                    hold_end: hold_end(toks, body, c.tok, chain_start),
+                    hold_end: hold_end(f, toks, c.tok),
                 });
             }
         }
@@ -249,57 +247,19 @@ fn reach(
     None
 }
 
-/// How long may the guard produced at `lock_tok` (whose receiver chain
-/// starts at `chain_start`) be held?
-fn hold_end(toks: &[Tok], body: (usize, usize), lock_tok: usize, chain_start: usize) -> usize {
-    let (_, bend) = body;
-    // Statement tokens run back to the nearest `;`/`{`/`}`.
-    let mut stmt_start = chain_start;
-    while stmt_start > 0 {
-        let t = &toks[stmt_start - 1];
-        if t.is(";") || t.is("{") || t.is("}") {
-            break;
-        }
-        stmt_start -= 1;
-    }
-    let stmt = &toks[stmt_start..chain_start];
-    let is_let = stmt.iter().any(|t| t.is_ident("let")) && stmt.iter().any(|t| t.is("="));
-    if !is_let {
+/// How long may the guard produced at `lock_tok` be held?
+fn hold_end(f: &FnDef, toks: &[Tok], lock_tok: usize) -> usize {
+    let bend = f.body.expect("live fns have bodies").1;
+    let Some(binding) = f.let_around(lock_tok) else {
         // Temporary guard: dies at the end of the statement (or of the
         // enclosing argument list, whichever closes first).
-        let mut depth = 0i32;
-        let mut k = lock_tok + 1;
-        while k < bend {
-            match toks[k].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return k;
-                    }
-                }
-                ";" if depth == 0 => return k,
-                _ => {}
-            }
-            k += 1;
-        }
-        return bend;
-    }
+        return expr_end(toks, lock_tok + 1, bend, false);
+    };
     // Let-bound guard: held to the end of the enclosing block, or to an
     // explicit `drop(guard)`.
-    let guard: Option<&str> = stmt
-        .iter()
-        .position(|t| t.is("="))
-        .and_then(|eq| {
-            stmt[..eq]
-                .iter()
-                .rev()
-                .find(|t| t.kind == TokKind::Ident && !is_keyword(&t.text))
-        })
-        .map(|t| t.text.as_str());
+    let guard = binding.name.as_deref();
     let mut depth = 0i32;
-    let mut k = lock_tok + 1;
-    while k < bend {
+    for k in lock_tok + 1..bend {
         match toks[k].text.as_str() {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => {
@@ -318,7 +278,6 @@ fn hold_end(toks: &[Tok], body: (usize, usize), lock_tok: usize, chain_start: us
             }
             _ => {}
         }
-        k += 1;
     }
     bend
 }
@@ -397,6 +356,27 @@ mod tests {
             }
             fn g(a: &M, b: &M) {
                 let gb = b.y.lock().unwrap();
+                drop(gb);
+                let ga = a.x.lock().unwrap();
+                drop(ga);
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn typed_guard_drop_releases() {
+        let d = diags(
+            "
+            fn f(a: &M, b: &M) {
+                let ga: MutexGuard<'_, u32> = a.x.lock().unwrap();
+                drop(ga);
+                let gb = b.y.lock().unwrap();
+                drop(gb);
+            }
+            fn g(a: &M, b: &M) {
+                let gb: MutexGuard<'_, u32> = b.y.lock().unwrap();
                 drop(gb);
                 let ga = a.x.lock().unwrap();
                 drop(ga);

@@ -203,7 +203,7 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
                 if c.kind != CallKind::Method || !MUTATORS.contains(&c.name.as_str()) {
                     continue;
                 }
-                let chain = receiver_chain(toks, c.tok).0;
+                let chain = receiver_chain(toks, c.tok);
                 if chain.starts_with("shards[_]") {
                     out.push(Diagnostic {
                         pass: "epoch-phase",
@@ -300,10 +300,10 @@ fn in_scope(ws: &Workspace, path: &str) -> bool {
 fn anchor_rank(toks: &[crate::lexer::Tok], c: &crate::parse::CallSite) -> Option<u8> {
     match (c.kind, c.name.as_str()) {
         (CallKind::Method | CallKind::Path, "peek_time") => Some(1),
-        (CallKind::Method, "take") => ring_like(&receiver_chain(toks, c.tok).0).then_some(0),
-        (CallKind::Method, "publish") => ring_like(&receiver_chain(toks, c.tok).0).then_some(3),
+        (CallKind::Method, "take") => ring_like(&receiver_chain(toks, c.tok)).then_some(0),
+        (CallKind::Method, "publish") => ring_like(&receiver_chain(toks, c.tok)).then_some(3),
         (CallKind::Method, "push" | "push_back" | "extend" | "extend_from_slice" | "append") => {
-            staging_like(&receiver_chain(toks, c.tok).0).then_some(2)
+            staging_like(&receiver_chain(toks, c.tok)).then_some(2)
         }
         _ => None,
     }

@@ -41,7 +41,7 @@ use crate::callgraph::CallGraph;
 use crate::cfg::{self, Cfg};
 use crate::dataflow::{self, Analysis};
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{is_keyword, skip_balanced, FnDef};
+use crate::parse::{args_open, is_keyword, skip_balanced, FnDef};
 use crate::report::Diagnostic;
 use crate::Workspace;
 use std::collections::{BTreeMap, BTreeSet};
@@ -298,8 +298,12 @@ fn check_kind(
     for (&name_tok, &acquire) in &sites {
         let (eff, args) = effective_site(toks, name_tok);
         if acquire {
-            let bound = binding_for(toks, name_tok)
-                .map(|(name, def_tok)| var_id(name, toks[name_tok].line, def_tok, &mut vars));
+            // `let _ = acquire()` and destructuring lets bind no name:
+            // the acquire stays anonymous (counter mode).
+            let bound = f.let_around(name_tok).and_then(|b| {
+                let name = b.name.clone()?;
+                Some(var_id(name, toks[name_tok].line, b.name_tok, &mut vars))
+            });
             events.entry(eff).or_default().push(Ev::Acquire(bound));
         } else {
             if let Some((a, b)) = args {
@@ -348,8 +352,7 @@ fn check_kind(
             }
             continue;
         }
-        let rebind = prev == Some("let")
-            || (prev == Some("mut") && t_idx >= 2 && toks[t_idx - 2].is_ident("let"));
+        let rebind = f.bindings.iter().any(|b| b.is_let && b.name_tok == t_idx);
         let assign = toks.get(t_idx + 1).is_some_and(|n| n.is("="));
         if rebind || assign {
             events.entry(t_idx).or_default().push(Ev::Kill(v));
@@ -472,24 +475,7 @@ fn check_kind(
 /// shifted past the `?`, landing in the success-path block the CFG
 /// split off.
 fn effective_site(toks: &[Tok], name_tok: usize) -> (usize, Option<(usize, usize)>) {
-    let mut j = name_tok + 1;
-    // Turbofish between name and argument list.
-    if toks.get(j).is_some_and(|t| t.is("::")) && toks.get(j + 1).is_some_and(|t| t.is("<")) {
-        let mut angle = 0i32;
-        j += 1;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                ">>" => angle -= 2,
-                _ => {}
-            }
-            j += 1;
-            if angle <= 0 {
-                break;
-            }
-        }
-    }
+    let j = args_open(toks, name_tok);
     if !toks.get(j).is_some_and(|t| t.is("(")) {
         return (name_tok, None);
     }
@@ -502,41 +488,6 @@ fn effective_site(toks: &[Tok], name_tok: usize) -> (usize, Option<(usize, usize
     } else {
         (name_tok, Some((j, close - 1)))
     }
-}
-
-/// `let [mut] name [: Ty] = ... anchor(..)`: the bound name, if the
-/// statement containing the anchor call is a plain let-binding.
-fn binding_for(toks: &[Tok], name_tok: usize) -> Option<(String, usize)> {
-    let mut k = name_tok;
-    for _ in 0..40 {
-        if k == 0 {
-            break;
-        }
-        if matches!(toks[k - 1].text.as_str(), ";" | "{" | "}") {
-            break;
-        }
-        k -= 1;
-    }
-    if !toks.get(k).is_some_and(|t| t.is_ident("let")) {
-        return None;
-    }
-    let mut m = k + 1;
-    if toks.get(m).is_some_and(|t| t.is_ident("mut")) {
-        m += 1;
-    }
-    let name = toks.get(m)?;
-    if name.kind != TokKind::Ident || is_keyword(&name.text) || name.text == "_" {
-        // `let _ = acquire()` deliberately discards the binding: keep
-        // the acquire anonymous (counter-mode) instead of tracking a
-        // `_` variable no release can ever name.
-        return None;
-    }
-    // An `=` must separate the binding from the call.
-    let eq = (m + 1..name_tok).any(|j| toks[j].is("="));
-    if !eq {
-        return None;
-    }
-    Some((name.text.clone(), m))
 }
 
 /// Arguments of `#[cfg_attr(lint, marker(a, b, ...))]` on `f`, in order.

@@ -29,7 +29,9 @@
 //! values live; fixtures are scanned whole.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{call_sites, is_keyword, CallKind};
+use crate::parse::{
+    call_sites, group_start, is_keyword, skip_balanced, type_head, CallKind, FnDef,
+};
 use crate::report::Diagnostic;
 use crate::Workspace;
 use std::collections::BTreeSet;
@@ -82,74 +84,36 @@ struct FnCtx<'a> {
 }
 
 impl<'a> FnCtx<'a> {
-    fn build(
-        f: &crate::parse::FnDef,
-        toks: &[Tok],
-        time_fields: &'a BTreeSet<&'a str>,
-    ) -> FnCtx<'a> {
+    /// Seed the context from the parse table: time-typed parameters and
+    /// `let`s, then, in token order, the taint of every binding whose
+    /// value is raw picoseconds (a plain reassignment such as `lo =
+    /// lo.min(k.at.0)` taints like a `let`).
+    fn build(f: &FnDef, toks: &[Tok], time_fields: &'a BTreeSet<&'a str>) -> FnCtx<'a> {
+        let is_time = |(s, e): (usize, usize)| {
+            type_head(&toks[s..e]).is_some_and(|t| TIME_TYPES.contains(&t))
+        };
         let mut ctx = FnCtx {
             time_fields,
-            time_vars: BTreeSet::new(),
+            time_vars: f
+                .params
+                .iter()
+                .filter(|p| is_time(p.ty))
+                .map(|p| p.name.clone())
+                .collect(),
             self_is_time: f.qual.as_deref().is_some_and(|q| TIME_TYPES.contains(&q)),
             tainted: BTreeSet::new(),
         };
-        // Parameters: `name : Type` pairs in the signature.
-        let (ss, se) = f.sig;
-        let mut k = ss;
-        while k + 2 < se.min(toks.len()) {
-            if toks[k].kind == TokKind::Ident
-                && toks[k + 1].is(":")
-                && type_head(&toks[k + 2..se]).is_some_and(|t| TIME_TYPES.contains(&t))
-            {
-                ctx.time_vars.insert(toks[k].text.clone());
+        for b in &f.bindings {
+            let Some(name) = &b.name else { continue };
+            if b.ty.is_some_and(is_time) {
+                ctx.time_vars.insert(name.clone());
             }
-            k += 1;
-        }
-        // Forward pass over the body: typed lets and taint propagation.
-        let (bs, be) = (f.body.unwrap().0, f.body.unwrap().1);
-        let mut k = bs;
-        while k < be.min(toks.len()) {
-            if toks[k].is_ident("let") {
-                // `let [mut] name [: Ty] = rhs ;`
-                let mut n = k + 1;
-                if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
-                    n += 1;
-                }
-                if toks.get(n).map(|t| t.kind) == Some(TokKind::Ident) {
-                    let name = toks[n].text.clone();
-                    let mut m = n + 1;
-                    if toks.get(m).is_some_and(|t| t.is(":")) {
-                        if type_head(&toks[m + 1..be]).is_some_and(|t| TIME_TYPES.contains(&t)) {
-                            ctx.time_vars.insert(name.clone());
-                        }
-                        while m < be && !toks[m].is("=") && !toks[m].is(";") {
-                            m += 1;
-                        }
-                    }
-                    if toks.get(m).is_some_and(|t| t.is("=")) {
-                        let (rs, re) = rhs_range(toks, m + 1, be);
-                        if rhs_is_time_newtype(&toks[rs..re]) {
-                            ctx.time_vars.insert(name.clone());
-                        } else if ctx.rhs_is_raw(&toks[rs..re]) {
-                            ctx.tainted.insert(name);
-                        }
-                        k = re;
-                        continue;
-                    }
-                }
-            } else if toks[k].kind == TokKind::Ident
-                && toks.get(k + 1).is_some_and(|t| t.is("="))
-                && (k == bs || toks[k - 1].is(";") || toks[k - 1].is("{") || toks[k - 1].is("}"))
-            {
-                // Plain reassignment: `lo = lo.min(k.at.0);`
-                let (rs, re) = rhs_range(toks, k + 2, be);
-                if ctx.rhs_is_raw(&toks[rs..re]) {
-                    ctx.tainted.insert(toks[k].text.clone());
-                }
-                k = re;
-                continue;
+            let Some((rs, re)) = b.init else { continue };
+            if b.is_let && rhs_is_time_newtype(&toks[rs..re]) {
+                ctx.time_vars.insert(name.clone());
+            } else if ctx.rhs_is_raw(&toks[rs..re]) {
+                ctx.tainted.insert(name.clone());
             }
-            k += 1;
         }
         ctx
     }
@@ -166,23 +130,18 @@ impl<'a> FnCtx<'a> {
             {
                 return false;
             }
-            if t.is_ident("as")
-                && !matches!(
-                    rhs.get(i + 1).map(|n| n.text.as_str()),
-                    Some("u64") | Some("usize")
-                )
-            {
+            if casts_out(rhs, i) {
                 return false;
             }
         }
-        let mut i = 0usize;
-        while i < rhs.len() {
-            if self.raw_source_at(rhs, i) {
-                return true;
-            }
-            i += 1;
-        }
-        false
+        (0..rhs.len()).any(|i| self.raw_source_at(rhs, i))
+    }
+
+    /// Is `name` a time-typed base, whose `.0` is a raw picosecond value?
+    fn is_time_base(&self, name: &str) -> bool {
+        (name == "self" && self.self_is_time)
+            || self.time_vars.contains(name)
+            || self.time_fields.contains(name)
     }
 
     /// Is there a raw picosecond source anchored at index `i`?
@@ -197,15 +156,13 @@ impl<'a> FnCtx<'a> {
             return true;
         }
         // `.0` on a time-typed base.
-        if t.kind == TokKind::Lit && t.text == "0" && i > 0 && toks[i - 1].is(".") {
-            if let Some(base) = i.checked_sub(2).map(|b| &toks[b]) {
-                let is_time_base = (base.text == "self" && self.self_is_time)
-                    || self.time_vars.contains(&base.text)
-                    || self.time_fields.contains(base.text.as_str());
-                if is_time_base {
-                    return true;
-                }
-            }
+        if t.kind == TokKind::Lit
+            && t.text == "0"
+            && i >= 2
+            && toks[i - 1].is(".")
+            && self.is_time_base(&toks[i - 2].text)
+        {
+            return true;
         }
         // A tainted plain ident, unless a non-preserving method call
         // launders it right away.
@@ -233,19 +190,7 @@ impl<'a> FnCtx<'a> {
             match t.text.as_str() {
                 ")" => {
                     // Method call or parenthesised group: find `(`.
-                    let mut depth = 0i32;
-                    while k > 0 {
-                        let s = toks[k].text.as_str();
-                        if s == ")" {
-                            depth += 1;
-                        } else if s == "(" {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        k -= 1;
-                    }
+                    k = group_start(toks, k, "(", ")");
                     // `name(..)` with a `.` before name → method call.
                     if k >= 2 && toks[k - 1].kind == TokKind::Ident && toks[k - 2].is(".") {
                         let m = toks[k - 1].text.as_str();
@@ -266,16 +211,10 @@ impl<'a> FnCtx<'a> {
                 }
                 _ if t.kind == TokKind::Lit => {
                     // `.0` tuple-field on a time base?
-                    if t.text == "0" && k >= 2 && toks[k - 1].is(".") {
-                        let base = &toks[k - 2];
-                        if (base.text == "self" && self.self_is_time)
-                            || self.time_vars.contains(&base.text)
-                            || self.time_fields.contains(base.text.as_str())
-                        {
-                            return true;
-                        }
-                    }
-                    return false;
+                    return t.text == "0"
+                        && k >= 2
+                        && toks[k - 1].is(".")
+                        && self.is_time_base(&toks[k - 2].text);
                 }
                 _ if t.kind == TokKind::Ident && !is_keyword(&t.text) => {
                     return self.tainted.contains(&t.text);
@@ -316,9 +255,7 @@ impl<'a> FnCtx<'a> {
                 if toks.get(j).is_some_and(|n| n.is(".")) {
                     let Some(nxt) = toks.get(j + 1) else { break };
                     if nxt.kind == TokKind::Lit && nxt.text == "0" {
-                        last_is_raw = (base_text == "self" && self.self_is_time)
-                            || self.time_vars.contains(&base_text)
-                            || self.time_fields.contains(base_text.as_str());
+                        last_is_raw = self.is_time_base(&base_text);
                         base_text = String::new();
                         j += 2;
                         continue;
@@ -329,7 +266,7 @@ impl<'a> FnCtx<'a> {
                             // anything else launders.
                             let m = nxt.text.as_str();
                             last_is_raw = m == "picos" || (PRESERVING.contains(&m) && last_is_raw);
-                            let close = crate::parse::skip_balanced(toks, j + 2, "(", ")");
+                            let close = skip_balanced(toks, j + 2, "(", ")");
                             base_text = String::new();
                             j = close;
                             continue;
@@ -348,56 +285,20 @@ impl<'a> FnCtx<'a> {
             // as f64`, `dt as i128`) launders: floats don't overflow and
             // i128/u128 have 64 bits of headroom. Only `as u64`/`as
             // usize` keep the value raw.
-            if last_is_raw
-                && toks.get(j).is_some_and(|n| n.is_ident("as"))
-                && !matches!(
-                    toks.get(j + 1).map(|n| n.text.as_str()),
-                    Some("u64") | Some("usize")
-                )
-            {
-                return false;
-            }
-            return last_is_raw;
+            return last_is_raw && !casts_out(toks, j);
         }
         false
     }
 }
 
-/// The first concrete type identifier of a type snippet (skipping `&`,
-/// `mut`, lifetimes).
-fn type_head(toks: &[Tok]) -> Option<&str> {
-    for t in toks {
-        match t.kind {
-            TokKind::Punct if matches!(t.text.as_str(), "&" | "<") => continue,
-            TokKind::Lifetime => continue,
-            TokKind::Ident if matches!(t.text.as_str(), "mut" | "dyn") => continue,
-            TokKind::Ident => return Some(&t.text),
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Token range of a `let`/assignment RHS: from `start` to the closing
-/// `;` at nesting depth zero.
-fn rhs_range(toks: &[Tok], start: usize, end: usize) -> (usize, usize) {
-    let mut depth = 0i32;
-    let mut k = start;
-    while k < end {
-        match toks[k].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth < 0 {
-                    return (start, k);
-                }
-            }
-            ";" if depth == 0 => return (start, k),
-            _ => {}
-        }
-        k += 1;
-    }
-    (start, end)
+/// Is `toks[i]` an `as` cast out of the u64 picosecond domain (anything
+/// but `as u64`/`as usize`)?
+fn casts_out(toks: &[Tok], i: usize) -> bool {
+    toks.get(i).is_some_and(|t| t.is_ident("as"))
+        && !matches!(
+            toks.get(i + 1).map(|n| n.text.as_str()),
+            Some("u64") | Some("usize")
+        )
 }
 
 /// Does the RHS (re)construct a time newtype (`SimTime(..)`,
@@ -433,7 +334,7 @@ fn op_hint(code: &str) -> &'static str {
 
 /// Flag raw binary arithmetic whose operands are picosecond-valued.
 fn scan_ops(
-    f: &crate::parse::FnDef,
+    f: &FnDef,
     toks: &[Tok],
     body: (usize, usize),
     ctx: &FnCtx,
@@ -468,7 +369,7 @@ fn scan_ops(
 
 /// Flag bare arithmetic inside `SimTime(..)` / `Duration(..)` ctor args.
 fn scan_ctor_args(
-    f: &crate::parse::FnDef,
+    f: &FnDef,
     toks: &[Tok],
     body: (usize, usize),
     path: &str,
@@ -484,7 +385,7 @@ fn scan_ctor_args(
         if !toks.get(open).is_some_and(|t| t.is("(")) {
             continue;
         }
-        let close = crate::parse::skip_balanced(toks, open, "(", ")");
+        let close = skip_balanced(toks, open, "(", ")");
         for k in open + 1..close.saturating_sub(1) {
             let Some(code) = op_code(toks[k].text.as_str()) else {
                 continue;

@@ -1,5 +1,5 @@
 //! A Mellanox ConnectX-like InfiniBand model — the comparison interconnect
-//! of the paper's evaluation (§VI and [10]).
+//! of the paper's evaluation (§VI and \[10\]).
 //!
 //! The model is LogGP-shaped: a message costs sender overhead (MPI stack +
 //! doorbell), a per-message NIC/fabric gap, wire serialisation, and

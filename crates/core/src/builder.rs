@@ -108,9 +108,9 @@ impl TcclusterBuilder {
     }
 
     /// Inject a monotonic nanosecond clock for the event engine's
-    /// per-stage attribution ([`EventEngine::stage_profile`]
-    /// (crate::EventEngine::stage_profile)). Off by default; attribution
-    /// runs time one sampled event in
+    /// per-stage attribution
+    /// ([`EventEngine::stage_profile`](crate::EventEngine::stage_profile)).
+    /// Off by default; attribution runs time one sampled event in
     /// [`PROFILE_SAMPLE_EVERY`](crate::engine::PROFILE_SAMPLE_EVERY), so
     /// the overhead is a small fraction of a clock read per event.
     #[must_use]

@@ -25,7 +25,7 @@
 //!
 //! The event engine is a conservative parallel discrete-event simulator
 //! (Chandy–Misra style). The fabric is sharded **by supernode**: each
-//! [`Shard`] owns the ports, flows, drain clocks and event queue of one
+//! `Shard` owns the ports, flows, drain clocks and event queue of one
 //! supernode's nodes, so shard state is fully disjoint. Wire latency
 //! gives the synchronization lookahead for free — every cross-shard
 //! event is a packet arrival produced by `put_on_wire`, which lies at
@@ -1273,12 +1273,8 @@ pub struct EventEngine {
 impl EventEngine {
     /// Build an engine over every trained wire of `platform`, with link
     /// configurations taken from the negotiated endpoint state (the same
-    /// tables the chained engine serialises against).
-    pub fn new(platform: &mut Platform, drain: Duration) -> Self {
-        Self::with_options(platform, drain, EngineOptions::default())
-    }
-
-    /// [`EventEngine::new`] with explicit executive options.
+    /// tables the chained engine serialises against) and the given
+    /// executive options.
     pub fn with_options(platform: &mut Platform, drain: Duration, options: EngineOptions) -> Self {
         let spec = platform.spec;
         let procs = spec.supernode.processors;
@@ -1401,25 +1397,11 @@ impl EventEngine {
         self.drain
     }
 
-    /// The executive options this engine was built with.
-    pub fn options(&self) -> EngineOptions {
-        EngineOptions {
-            threads: self.threads,
-            profile_clock: self.profile_clock,
-        }
-    }
-
     /// Per-stage wall-clock attribution accumulated over profiled runs
     /// (all zeros unless the engine was built with a
     /// [`profile_clock`](EngineOptions::profile_clock)).
     pub fn stage_profile(&self) -> StageProfile {
         self.profile
-    }
-
-    /// The conservative synchronization lookahead (minimum hop latency
-    /// over links whose two ends live in different shards).
-    pub fn lookahead(&self) -> Duration {
-        self.lookahead
     }
 
     /// The engine clock (last event handled).

@@ -36,12 +36,11 @@ pub struct SimCluster {
     /// benchmark loops allocate nothing per message.
     sink: ActionSink,
     commits: Vec<DeliveredWrite>,
-    /// Which timing engine paces the fabric.
-    engine: EngineKind,
     /// Executive options for the event engine (threads, profile clock),
     /// preserved across `reset_timebase` rebuilds.
     options: EngineOptions,
-    /// The event-driven fabric, present iff `engine == EventDriven`. The
+    /// The event-driven fabric, present iff the cluster was booted on
+    /// [`EngineKind::EventDriven`]. The
     /// nodes run with `raw_egress` set: their store paths hand packets to
     /// this engine at northbridge-exit time and it owns all wire
     /// serialisation, credits and hop-by-hop forwarding.
@@ -102,7 +101,6 @@ impl SimCluster {
             boot,
             sink: ActionSink::new(),
             commits: Vec::new(),
-            engine,
             options,
             event: None,
         };
@@ -128,10 +126,6 @@ impl SimCluster {
 
     pub fn spec(&self) -> ClusterSpec {
         self.platform.spec
-    }
-
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
     }
 
     /// The event-executive options this cluster runs with.

@@ -17,7 +17,7 @@ use core::fmt;
 
 /// Abort on a broken protocol invariant. Never returns.
 ///
-/// Call through [`protocol_violation!`] so the message is formatted
+/// Call through [`protocol_violation!`](crate::protocol_violation) so the message is formatted
 /// lazily at the site. Deliberate panic, reviewed: by the time this is
 /// reached, simulator state is inconsistent (a routing table disagrees
 /// with the fabric, a frame fails to decode after its ready flag was

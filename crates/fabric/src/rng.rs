@@ -3,7 +3,7 @@
 //! Experiments must be reproducible bit-for-bit across runs and across
 //! versions of external crates, so the kernel carries its own
 //! xoshiro256** generator (Blackman & Vigna) seeded through SplitMix64.
-//! It also implements [`rand::RngCore`] so `rand` distributions can be used
+//! It also implements [`rand::TryRng`] so `rand` distributions can be used
 //! on top when convenient.
 
 /// SplitMix64 — used to expand a single `u64` seed into generator state.

@@ -29,93 +29,25 @@ impl fmt::Display for Record {
     }
 }
 
-/// An append-only trace buffer with an optional capacity bound.
+/// An append-only trace buffer.
 #[derive(Debug, Default)]
 pub struct Trace {
     records: Vec<Record>,
-    capacity: Option<usize>,
-    dropped: u64,
-    enabled: bool,
 }
 
 impl Trace {
-    /// An enabled, unbounded trace.
+    /// An empty trace.
     #[must_use]
     pub fn new() -> Self {
-        Trace {
-            records: Vec::new(),
-            capacity: None,
-            dropped: 0,
-            enabled: true,
-        }
-    }
-
-    /// An enabled trace that keeps only the most recent `cap` records.
-    pub fn bounded(cap: usize) -> Self {
-        Trace {
-            records: Vec::new(),
-            capacity: Some(cap),
-            dropped: 0,
-            enabled: true,
-        }
-    }
-
-    /// A disabled trace: `log` is a no-op (zero-cost in hot paths that
-    /// format lazily via [`Trace::log_with`]).
-    pub fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            ..Trace::new()
-        }
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     pub fn log(&mut self, at: SimTime, source: impl Into<String>, what: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(cap) = self.capacity {
-            if self.records.len() == cap {
-                self.records.remove(0);
-                self.dropped += 1;
-            }
-        }
         self.records.push(Record {
             at,
             source: source.into(),
             what: what.into(),
         });
-    }
-
-    /// Log with lazy message construction — the closure only runs when the
-    /// trace is enabled.
-    pub fn log_with(&mut self, at: SimTime, source: &str, what: impl FnOnce() -> String) {
-        if self.enabled {
-            self.log(at, source, what());
-        }
-    }
-
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// All records whose message contains `needle`, in order. (Named
@@ -140,11 +72,6 @@ impl Trace {
             _ => false,
         }
     }
-
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
 }
 
 impl fmt::Display for Trace {
@@ -165,34 +92,10 @@ mod tests {
         let mut t = Trace::new();
         t.log(SimTime(10), "a", "first");
         t.log(SimTime(20), "b", "second");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.position("second"), Some(1));
         assert!(t.happened_before("first", "second"));
         assert!(!t.happened_before("second", "first"));
         assert!(!t.happened_before("first", "missing"));
-    }
-
-    #[test]
-    fn bounded_drops_oldest() {
-        let mut t = Trace::bounded(2);
-        t.log(SimTime(1), "x", "one");
-        t.log(SimTime(2), "x", "two");
-        t.log(SimTime(3), "x", "three");
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 1);
-        assert_eq!(t.records()[0].what, "two");
-    }
-
-    #[test]
-    fn disabled_is_noop() {
-        let mut t = Trace::disabled();
-        t.log(SimTime(1), "x", "hidden");
-        let mut ran = false;
-        t.log_with(SimTime(2), "x", || {
-            ran = true;
-            "lazy".into()
-        });
-        assert!(t.is_empty());
-        assert!(!ran, "lazy closure must not run when disabled");
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl Platform {
         self.monitor = Some(monitor);
     }
 
-    /// Remove the installed monitor (hot path reverts to zero-cost).
-    pub fn clear_monitors(&mut self) -> Option<Box<dyn FabricMonitor>> {
-        self.monitor.take()
-    }
-
     /// Whether a fabric monitor is installed. The sharded event engine
     /// checks this once per run: with no monitor it skips packet-event
     /// recording entirely, keeping the shard hot path allocation-free.

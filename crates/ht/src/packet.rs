@@ -306,7 +306,7 @@ impl FlatWire {
     }
 
     /// Lossless widening back to the general form. Allocates a fresh
-    /// payload; boundary crossings that own a [`PayloadPool`] should
+    /// payload; boundary crossings that own a `PayloadPool` should
     /// prefer its recycled variant.
     pub fn to_packet(&self) -> Packet {
         Packet::posted_write(self.addr, Bytes::copy_from_slice(&self.data))

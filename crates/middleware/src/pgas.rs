@@ -87,10 +87,6 @@ impl GlobalArray {
         &self.local
     }
 
-    pub fn local_mut(&mut self) -> &mut [f64] {
-        &mut self.local
-    }
-
     /// Relaxed put: returns immediately after issuing the remote store.
     pub fn put(&mut self, ctx: &mut NodeCtx, i: usize, value: f64) {
         let o = self.owner(i);

@@ -7,7 +7,7 @@
 //!   exist in the type system) and pollable uncacheable [`LocalWindow`]s.
 //! * [`ring`] — the eager path: 4 KB rings of self-validating 72 B cells,
 //!   header-written-last, credits returned by remote store.
-//! * [`channel`] — the full channel: eager ring + one-sided rendezvous for
+//! * [`channel`](mod@channel) — the full channel: eager ring + one-sided rendezvous for
 //!   large messages, with strictly- and weakly-ordered send modes (the two
 //!   mechanisms of paper Fig. 6).
 //! * [`barrier`] — dissemination barriers and flags from remote stores.

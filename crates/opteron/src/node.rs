@@ -8,7 +8,7 @@
 //!
 //! The store/deliver path is allocation-free in steady state: callers
 //! provide a reusable [`ActionSink`], packet payloads come from a per-node
-//! [`PayloadPool`](crate::pool::PayloadPool), and whole messages can be
+//! [`PayloadPool`], and whole messages can be
 //! issued with one [`Node::store_burst`] call instead of a store-per-cell
 //! driver loop.
 
@@ -178,12 +178,8 @@ pub struct Node {
     /// Memoised store-queue headroom keyed on its inputs (computing it
     /// involves an exact `u128` division, far too costly per store).
     sq_headroom_memo: (u64, u64, Duration),
-    /// If set, link credits are returned instantly (used by open-loop
-    /// microbenchmark harnesses where the receiver provably drains at
-    /// line rate; the event-driven cluster sim disables it).
-    pub auto_credit: bool,
-    /// If set, [`transmit`](Self::transmit) bypasses the node's `LinkTx`
-    /// and emits the packet at its northbridge-exit time: an external
+    /// If set, the transmit path bypasses the node's `LinkTx` and emits
+    /// the packet at its northbridge-exit time: an external
     /// fabric engine owns wire serialisation, credits and arrival timing
     /// per hop, so the node must not serialise (or gate on credits) a
     /// second time.
@@ -213,7 +209,6 @@ impl Node {
             dels_scratch: Vec::new(),
             sq_headroom_memo: (0, 0, Duration::ZERO),
             params,
-            auto_credit: true,
             raw_egress: false,
         }
     }
@@ -495,9 +490,11 @@ impl Node {
         done
     }
 
-    /// Enqueue `pkt` on `link`, pump the transmitter at `t`, return
-    /// credits if auto-credit is on, and sink a `PacketOut` per delivery.
-    /// Returns the latest arrival time.
+    /// Enqueue `pkt` on `link`, pump the transmitter at `t`, return each
+    /// delivery's credits at once (this path models a receiver draining
+    /// at line rate; an engine that models credits sets `raw_egress`),
+    /// and sink a `PacketOut` per delivery. Returns the latest arrival
+    /// time.
     fn transmit(
         &mut self,
         link: LinkId,
@@ -513,23 +510,20 @@ impl Node {
             });
             return t;
         }
-        let auto = self.auto_credit;
         let mut dels = std::mem::take(&mut self.dels_scratch);
         dels.clear();
         let Some(tx) = self.links[link.0 as usize].as_mut() else {
             protocol_violation!("packet routed to unattached link {link:?}");
         };
         tx.send_into(t, pkt, &mut dels);
-        if auto {
-            for d in &dels {
-                let mut ret = tcc_ht::flow::CreditReturn::default();
-                ret.cmd[d.packet.vc().index()] = 1;
-                if !d.packet.data.is_empty() {
-                    ret.data[d.packet.vc().index()] = 1;
-                }
-                if let Err(e) = tx.credit_return(ret) {
-                    protocol_violation!("auto-credit return out of step: {e}");
-                }
+        for d in &dels {
+            let mut ret = tcc_ht::flow::CreditReturn::default();
+            ret.cmd[d.packet.vc().index()] = 1;
+            if !d.packet.data.is_empty() {
+                ret.data[d.packet.vc().index()] = 1;
+            }
+            if let Err(e) = tx.credit_return(ret) {
+                protocol_violation!("auto-credit return out of step: {e}");
             }
         }
         let mut done = t;
