@@ -250,9 +250,10 @@ fn reach(
 /// How long may the guard produced at `lock_tok` be held?
 fn hold_end(f: &FnDef, toks: &[Tok], lock_tok: usize) -> usize {
     let bend = f.body.expect("live fns have bodies").1;
-    let Some(binding) = f.let_around(lock_tok) else {
-        // Temporary guard: dies at the end of the statement (or of the
-        // enclosing argument list, whichever closes first).
+    let Some(binding) = f.let_around(lock_tok).filter(|b| !toks[b.name_tok].is("_")) else {
+        // Temporary guard, or one bound to `_` (which Rust drops at
+        // once): dies at the end of the statement (or of the enclosing
+        // argument list, whichever closes first).
         return expr_end(toks, lock_tok + 1, bend, false);
     };
     // Let-bound guard: held to the end of the enclosing block, or to an
@@ -378,6 +379,25 @@ mod tests {
             fn g(a: &M, b: &M) {
                 let gb: MutexGuard<'_, u32> = b.y.lock().unwrap();
                 drop(gb);
+                let ga = a.x.lock().unwrap();
+                drop(ga);
+            }
+            ",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn underscore_bound_guard_drops_at_once() {
+        let d = diags(
+            "
+            fn f(a: &M, b: &M) {
+                let _ = a.x.lock().unwrap();
+                let gb = b.y.lock().unwrap();
+                drop(gb);
+            }
+            fn g(a: &M, b: &M) {
+                let _ = b.y.lock().unwrap();
                 let ga = a.x.lock().unwrap();
                 drop(ga);
             }

@@ -498,12 +498,17 @@ pub(crate) fn find_depth0(toks: &[Tok], start: usize, hi: usize, stops: &[&str])
 /// End of the expression starting at `start`: the index of its
 /// terminating token — a depth-zero `;` (or `,` when `stop_comma`, as
 /// after a match arm or an argument), the closing delimiter of the
-/// enclosing group, or `hi`.
+/// enclosing group, or `hi`. A turbofish (`::<…>`) is skipped whole, so
+/// the commas between its type arguments end nothing.
 pub(crate) fn expr_end(toks: &[Tok], start: usize, hi: usize, stop_comma: bool) -> usize {
     let mut depth = 0i32;
     let mut j = start;
     while j < hi.min(toks.len()) {
         match toks[j].text.as_str() {
+            "::" if toks.get(j + 1).is_some_and(|t| t.is("<")) => {
+                j = skip_angles(toks, j + 1);
+                continue;
+            }
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => {
                 if depth == 0 {
@@ -881,6 +886,18 @@ mod tests {
         let b = &f0.bindings[0];
         assert!(!b.is_let);
         assert_eq!(b.name.as_deref(), Some("lo"));
+    }
+
+    #[test]
+    fn expr_end_skips_commas_inside_a_turbofish() {
+        let src = "match x { 0 => v.iter().collect::<HashMap<u32, u32>>().len(), _ => 1, }";
+        let f = SourceFile::new("t.rs".into(), "fixture".into(), src);
+        let arm = f.toks.iter().position(|t| t.is("=>")).unwrap() + 1;
+        let end = expr_end(&f.toks, arm, f.toks.len(), true);
+        assert_eq!(
+            join(&f.toks[arm..end]),
+            "v . iter ( ) . collect :: < HashMap < u32 , u32 >> ( ) . len ( )"
+        );
     }
 
     #[test]

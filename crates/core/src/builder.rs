@@ -107,18 +107,6 @@ impl TcclusterBuilder {
         self
     }
 
-    /// Inject a monotonic nanosecond clock for the event engine's
-    /// per-stage attribution
-    /// ([`EventEngine::stage_profile`](crate::EventEngine::stage_profile)).
-    /// Off by default; attribution runs time one sampled event in
-    /// [`PROFILE_SAMPLE_EVERY`](crate::engine::PROFILE_SAMPLE_EVERY), so
-    /// the overhead is a small fraction of a clock read per event.
-    #[must_use]
-    pub fn event_profile_clock(mut self, clock: fn() -> u64) -> Self {
-        self.options.profile_clock = Some(clock);
-        self
-    }
-
     #[must_use]
     pub fn spec(&self) -> ClusterSpec {
         ClusterSpec::new(

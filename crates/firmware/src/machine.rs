@@ -32,8 +32,8 @@ pub struct PacketEvent<'a> {
 /// Observer attached to the fabric via [`Platform::with_monitors`]. Called
 /// for every packet the propagation loop delivers; when no monitor is
 /// installed the hook is a single `Option` discriminant test, so the hot
-/// path is unaffected (verified by the simspeed harness and the
-/// counting-allocator regression test).
+/// path is unaffected (the counting-allocator regression test checks it
+/// allocates nothing; perfbench times it).
 pub trait FabricMonitor: std::fmt::Debug {
     /// Invoked just before the packet is handed to the receiving node.
     fn on_packet(&mut self, ev: &PacketEvent<'_>);

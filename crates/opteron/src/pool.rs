@@ -46,7 +46,8 @@ impl PayloadPool {
     /// `tcc_alloc_ok`: growing the pool is the amortized fallback when
     /// every slab is in flight — steady-state traffic recycles slabs and
     /// never reaches the `with_capacity` below (`grown` counts the
-    /// exceptions, and the simspeed harness asserts they stay rare).
+    /// exceptions; `tests/alloc_regression.rs` asserts that the warmed-up
+    /// store path allocates nothing).
     #[cfg_attr(lint, tcc_alloc_ok)]
     pub fn alloc(&mut self, data: &[u8]) -> Bytes {
         self.served += 1;

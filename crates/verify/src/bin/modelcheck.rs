@@ -2,9 +2,9 @@
 //!
 //! Verifies deadlock-freedom and credit conservation for the paper's
 //! two-node topology and the `mesh_bisection` mesh, then writes the
-//! state counts to `MC_modelcheck.json` (uploaded as a CI artifact next
-//! to `BENCH_simspeed.json`). Exits non-zero if any property fails,
-//! printing the minimal counterexample trace.
+//! state counts to `MC_modelcheck.json` (uploaded as a CI artifact).
+//! Exits non-zero if any property fails, printing the minimal
+//! counterexample trace.
 //!
 //! Run a deliberately broken configuration with `--negative` to see the
 //! counterexample machinery in action (this mode *expects* the failure

@@ -132,14 +132,13 @@ proptest! {
     }
 }
 
-/// A bigger, deeply contended single case: all-to-all on a 4x4 mesh at
-/// thread counts {2, 4, 8}, each compared field-for-field against the
-/// sequential executive.
-#[test]
-fn mesh4x4_all_to_all_is_executive_invariant() {
+/// All-to-all (4 KiB per flow) on a `side`x`side` mesh at thread counts
+/// {2, 4, 8}, each compared field-for-field against the sequential
+/// executive.
+fn assert_all_to_all_is_executive_invariant(side: usize) {
     let all_to_all = |threads| {
         run(
-            (4, 4),
+            (side, side),
             LinkConfig::PROTOTYPE,
             TrafficPattern::AllToAll,
             4 << 10,
@@ -149,11 +148,27 @@ fn mesh4x4_all_to_all_is_executive_invariant() {
         .0
     };
     let baseline = all_to_all(1);
-    assert_eq!(baseline.flows.len(), 16 * 15);
+    let supernodes = side * side;
+    assert_eq!(baseline.flows.len(), supernodes * (supernodes - 1));
     assert_eq!(baseline.lost_packets(), 0, "{baseline:?}");
     for threads in [2usize, 4, 8] {
         assert_eq!(all_to_all(threads), baseline, "{threads} threads diverged");
     }
+}
+
+/// A bigger, deeply contended single case: the 4x4 mesh.
+#[test]
+fn mesh4x4_all_to_all_is_executive_invariant() {
+    assert_all_to_all_is_executive_invariant(4);
+}
+
+/// The 8x8 mesh (4032 flows), the headline workload of the engine's
+/// speed figures. Release builds only: the debug suite would spend most
+/// of its time here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "8x8 matrix; run in release")]
+fn mesh8x8_all_to_all_is_executive_invariant() {
+    assert_all_to_all_is_executive_invariant(8);
 }
 
 /// The paper's 227 ns half-RTT anchor must hold when the event engine
@@ -252,8 +267,8 @@ fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts) {
     (counters, engine.event_counts())
 }
 
-/// The simulated work of the smoke input, pinned exactly at t1 and t2.
-/// These counts depend on no host clock, so a change that adds or
+/// The simulated work of the smoke input, pinned exactly at t1, t2 and
+/// t4. These counts depend on no host clock, so a change that adds or
 /// removes simulated work (an extra event per hop, a lost NOP, a second
 /// route lookup) fails here however fast or slow the host is.
 ///
@@ -272,7 +287,7 @@ fn smoke_work_counters_are_pinned() {
         injects: 0,
         cross_shard_sends: 40_960,
     };
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 4] {
         let (counters, by_kind) = smoke_work_counters(threads);
         assert_eq!(
             counters, PINNED,
