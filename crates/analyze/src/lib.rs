@@ -35,7 +35,9 @@
 //! tcc_alloc_ok)]` marks an amortized/cold allocation the reachability
 //! pass may stop at (kept honest by `alloc.stale-ok`), `#[cfg_attr(lint,
 //! tcc_panic_ok)]` a reviewed deliberate protocol panic (kept honest by
-//! `panic.stale-ok`),
+//! `panic.stale-ok`), `#[cfg_attr(lint, tcc_phase_ok)]` a reviewed
+//! function that needs no barrier order (kept honest by
+//! `phase.stale-ok`),
 //! `#[cfg_attr(lint, tcc_transfer_ok)]` a reviewed ownership handoff
 //! the resource pass may exit holding (kept honest by
 //! `resource.stale-ok`), and a `// tcc-analyze: allow(<code>)` comment
@@ -372,6 +374,7 @@ pub fn run_all_timed(ws: &Workspace, clock: Option<PassClock>) -> Report {
         alloc_ok_annotations: marker_count("tcc_alloc_ok"),
         no_panic_annotations: marker_count("tcc_no_panic"),
         panic_ok_annotations: marker_count("tcc_panic_ok"),
+        phase_ok_annotations: marker_count("tcc_phase_ok"),
         linear_annotations: marker_count("tcc_linear"),
         transfer_ok_annotations: marker_count("tcc_transfer_ok"),
         acquire_annotations: marker_count("tcc_acquires"),

@@ -26,15 +26,21 @@
 //!    so far in the current barrier interval, with the site that set it;
 //!    arms join by maximum rank at a merge, and an early exit ends its
 //!    path. A site whose lowest rank is below that fact is a protocol
-//!    violation. A loop head (the target of a back edge) resets the
-//!    interval: the epoch loop's back edge crosses B0, and a `for` or
-//!    `while` loop exits through its head, so its body's ranks do not
-//!    reach the code after it either. Sites whose rank set spans both
-//!    consumer (0–1) and producer (2–3) work — complete epoch machines
-//!    like `run_worker` — are neutral.
+//!    violation. Only a barrier site — `wait` on a barrier-like receiver
+//!    (`coord.barrier.wait()`) — resets the interval; a loop's back edge
+//!    carries the fact into the next iteration, so a loop without a
+//!    barrier is one interval. Sites whose rank set spans both consumer
+//!    (0–1) and producer (2–3) work — complete epoch machines like
+//!    `run_worker` — are neutral.
 //! 4. Cross-shard *mutable* access that bypasses the handoff API — a
 //!    mutating method call whose receiver chain starts at `shards[_]`
 //!    inside a phase-ranked function — is `phase.shard-escape`.
+//!
+//! `#[cfg_attr(lint, tcc_phase_ok)]` marks a reviewed function whose
+//! ranked calls need no barrier order, such as the sequential executive,
+//! which runs every shard from one thread with no mailboxes. Its order
+//! findings are dropped; if it has none, the marker is stale
+//! (`phase.stale-ok`).
 //!
 //! Production scope is `crates/core/src/engine.rs` (the only place the
 //! epoch machine lives); fixture workspaces are scanned whole. Summaries
@@ -42,7 +48,7 @@
 //! carry their ranks in.
 
 use crate::callgraph::{receiver_chain, CallGraph};
-use crate::cfg::{self, Cfg, EdgeKind};
+use crate::cfg::{self, Cfg};
 use crate::dataflow::{self, Analysis};
 use crate::parse::CallKind;
 use crate::report::Diagnostic;
@@ -149,16 +155,21 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
             }
         }
         events.retain(|_, ev| ev.bits & CONSUMER_BITS == 0 || ev.bits & PRODUCER_BITS == 0);
-        let graph = cfg::build(toks, body);
-        let mut heads = vec![false; graph.blocks.len()];
-        for e in graph.blocks.iter().flat_map(|b| &b.succs) {
-            heads[e.to] |= e.kind == EdgeKind::Back;
+        for c in &cg.sites[i] {
+            if c.kind == CallKind::Method
+                && c.name == "wait"
+                && barrier_like(&receiver_chain(toks, c.tok))
+            {
+                events.entry(c.tok).or_default().barrier = true;
+            }
         }
+        let graph = cfg::build(toks, body);
         let interval = Interval {
             graph: &graph,
             events: &events,
-            heads,
         };
+        let reviewed = f.has_marker("tcc_phase_ok");
+        let found = out.len();
         for (b, entry) in dataflow::solve(&graph, &interval).into_iter().enumerate() {
             let Some(mut done) = entry else { continue };
             interval.walk(b, &mut done, |ev, lo, (hi, hi_tok)| {
@@ -195,6 +206,22 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
                 });
             });
         }
+        if reviewed {
+            let silenced = out.drain(found..).count();
+            if silenced == 0 {
+                out.push(Diagnostic {
+                    pass: "epoch-phase",
+                    code: "phase.stale-ok".to_string(),
+                    file: path.clone(),
+                    line: f.line,
+                    function: f.display_name(),
+                    message: "tcc_phase_ok on a function whose ranked calls are already \
+                              in barrier order (stale escape hatch)"
+                        .to_string(),
+                    notes: vec!["remove the marker and its justification comment".to_string()],
+                });
+            }
+        }
 
         // 4. Shard-escape: phase-ranked code mutating another shard's
         // state directly instead of going through the mailbox API.
@@ -227,12 +254,14 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
     (out, ranked_in_scope)
 }
 
-/// A ranked call site in one body: its rank bits, line and how to name it.
+/// A ranked call site in one body: its rank bits, line and how to name
+/// it; or a barrier site, which ends the interval.
 #[derive(Default)]
 struct Event {
     bits: u8,
     line: u32,
     desc: String,
+    barrier: bool,
 }
 
 /// The dataflow fact: the highest rank done so far in the current
@@ -244,8 +273,6 @@ type Done = Option<(u8, usize)>;
 struct Interval<'a> {
     graph: &'a Cfg,
     events: &'a BTreeMap<usize, Event>,
-    /// Loop heads: back-edge targets, where the interval restarts.
-    heads: Vec<bool>,
 }
 
 impl Interval<'_> {
@@ -253,11 +280,12 @@ impl Interval<'_> {
     /// fires for every event whose lowest rank precedes work already
     /// done in its interval.
     fn walk(&self, block: usize, done: &mut Done, mut flag: impl FnMut(&Event, u8, (u8, usize))) {
-        if self.heads[block] {
-            *done = None;
-        }
         let segs = &self.graph.blocks[block].segs;
         for (&tok, ev) in segs.iter().flat_map(|&(a, b)| self.events.range(a..b)) {
+            if ev.barrier {
+                *done = None;
+                continue;
+            }
             let lo = ev.bits.trailing_zeros() as u8;
             let top = 7 - ev.bits.leading_zeros() as u8;
             if let Some(d) = done.filter(|d| lo < d.0) {
@@ -309,6 +337,11 @@ fn anchor_rank(toks: &[crate::lexer::Tok], c: &crate::parse::CallSite) -> Option
     }
 }
 
+/// Does any segment of the receiver chain name an epoch barrier?
+fn barrier_like(chain: &str) -> bool {
+    segments(chain).any(|seg| seg == "barrier" || seg.ends_with("_barrier"))
+}
+
 /// Does any segment of the receiver chain name a mailbox ring?
 fn ring_like(chain: &str) -> bool {
     segments(chain).any(|seg| {
@@ -353,6 +386,7 @@ mod tests {
                         let h = self.queue.peek_time();
                         self.outbox.push(h);
                         self.ring.publish(&mut self.outbox);
+                        self.coord.barrier.wait();
                     }
                 }
             }
@@ -395,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_back_edge_resets_the_interval() {
+    fn a_loop_without_a_barrier_is_one_interval() {
         let d = diags(
             "
             impl Worker {
@@ -408,7 +442,30 @@ mod tests {
             }
             ",
         );
-        assert!(d.is_empty(), "publish then loop-reset then take: {d:?}");
+        assert_eq!(
+            d.len(),
+            1,
+            "publish reaches the next iteration's take: {d:?}"
+        );
+        assert_eq!(d[0].code, "phase.producer-after-barrier");
+    }
+
+    #[test]
+    fn a_barrier_wait_resets_the_interval() {
+        let d = diags(
+            "
+            impl Worker {
+                fn run(&mut self, coord: &Coord) {
+                    loop {
+                        self.ring.take(&mut self.scratch);
+                        self.ring.publish(&mut self.outbox);
+                        coord.barrier.wait();
+                    }
+                }
+            }
+            ",
+        );
+        assert!(d.is_empty(), "publish, barrier, then take: {d:?}");
     }
 
     #[test]
@@ -502,9 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn a_for_loop_exits_through_its_head_which_resets_the_interval() {
-        // The exit edge leaves from the loop head, which the pass models
-        // as B0: the body's publish does not order the `take` after it.
+    fn a_for_loop_head_does_not_reset_the_interval() {
         let d = diags(
             "
             impl Worker {
@@ -517,7 +572,66 @@ mod tests {
             }
             ",
         );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, "phase.producer-after-barrier");
+    }
+
+    /// The sequential executive's shape: run one shard's epoch (which
+    /// stages sends), hand the staged sends to their peers, then refresh
+    /// the peers' minima. Written with hand-off loops or as plain blocks,
+    /// the minima follow the staging with no barrier between them.
+    const HAND_OFF_LOOPS: &str = "
+        impl Exec {
+            fn run_epoch(&mut self) {
+                self.outbox.push(1);
+            }
+            MARKER
+            fn drive(&mut self) {
+                loop {
+                    self.run_epoch();
+                    for k in 0..self.peers.len() {
+                        for m in self.outbox.drain(..) {
+                            self.lanes.push(m);
+                        }
+                        self.mins[k] = self.queue.peek_time();
+                    }
+                }
+            }
+        }
+        ";
+
+    #[test]
+    fn hand_off_loops_do_not_hide_producer_after_barrier() {
+        let blocks = HAND_OFF_LOOPS
+            .replace("for k in 0..self.peers.len()", "let k = 0;")
+            .replace("for m in self.outbox.drain(..)", "let m = 0;")
+            .replace("loop {", "{");
+        for src in [HAND_OFF_LOOPS.to_string(), blocks] {
+            let d = diags(&src.replace("MARKER", ""));
+            assert_eq!(d.len(), 1, "{src}: {d:?}");
+            assert_eq!(d[0].code, "phase.producer-after-barrier");
+            assert_eq!(d[0].function, "Exec::drive");
+        }
+    }
+
+    #[test]
+    fn phase_ok_silences_order_findings_and_goes_stale_without_them() {
+        let marked = HAND_OFF_LOOPS.replace("MARKER", "#[cfg_attr(lint, tcc_phase_ok)]");
+        let d = diags(&marked);
         assert!(d.is_empty(), "{d:?}");
+        let d = diags(
+            "
+            impl Worker {
+                #[cfg_attr(lint, tcc_phase_ok)]
+                fn fine(&mut self) {
+                    self.ring.take(&mut self.scratch);
+                    self.ring.publish(&mut self.outbox);
+                }
+            }
+            ",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, "phase.stale-ok");
     }
 
     #[test]

@@ -80,6 +80,9 @@ pub struct Report {
     /// Count of `tcc_panic_ok` escape hatches seen (each must cover a
     /// real panic site — `panic.stale-ok` enforces it).
     pub panic_ok_annotations: usize,
+    /// Count of `tcc_phase_ok` escape hatches seen (each must silence a
+    /// real order finding — `phase.stale-ok` enforces it).
+    pub phase_ok_annotations: usize,
     /// In-scope functions the epoch-phase pass assigned a rank to; the
     /// xtask guard fails if this collapses (the pass went blind).
     pub phase_ranked_functions: usize,
@@ -156,6 +159,7 @@ impl Report {
         let _ = writeln!(s, "    \"tcc_alloc_ok\": {},", self.alloc_ok_annotations);
         let _ = writeln!(s, "    \"tcc_no_panic\": {},", self.no_panic_annotations);
         let _ = writeln!(s, "    \"tcc_panic_ok\": {},", self.panic_ok_annotations);
+        let _ = writeln!(s, "    \"tcc_phase_ok\": {},", self.phase_ok_annotations);
         let _ = writeln!(s, "    \"tcc_linear\": {},", self.linear_annotations);
         let _ = writeln!(
             s,

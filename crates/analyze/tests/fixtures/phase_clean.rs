@@ -1,7 +1,7 @@
 //! Fixture: the correct epoch machine, mirroring `run_worker` in
 //! `crates/core/src/engine.rs`. Within each barrier interval the order
-//! is drain -> minima -> stage -> publish; the loop back edge crosses
-//! B0, so the next iteration's drain legally follows this iteration's
+//! is drain -> minima -> stage -> publish -> barrier; the barrier wait
+//! is B0, so the next iteration's drain legally follows this iteration's
 //! publish. Also pins the two deliberate non-findings: a driver calling
 //! a complete epoch machine is neutral, and `Option::take` /
 //! shard-touching setup code carry no rank.
@@ -12,6 +12,7 @@ pub struct Worker {
     outbox: Vec<u64>,
     scratch: Vec<u64>,
     slot: Option<u64>,
+    barrier: Barrier,
 }
 
 impl Worker {
@@ -22,6 +23,7 @@ impl Worker {
             let horizon = self.queue.peek_time();
             self.stage(horizon);
             self.mail_ring.publish(&mut self.outbox);
+            self.barrier.wait();
         }
     }
 

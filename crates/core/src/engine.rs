@@ -446,6 +446,10 @@ struct ShardRun<'a> {
     /// Injected nanosecond clock for stage attribution, `None` on
     /// unprofiled (hot) runs.
     clock: Option<fn() -> u64>,
+    /// The threaded executive's view of the shard's next event time
+    /// (picoseconds, `u64::MAX` when idle), taken in the epoch's minima
+    /// phase.
+    next: u64,
 }
 
 impl ShardRun<'_> {
@@ -1022,12 +1026,15 @@ const ABORT: u64 = u64::MAX - 1;
 #[cfg_attr(lint, tcc_no_panic)]
 fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
     loop {
-        let mut min = u64::MAX;
+        // Each phase is its own pass over the shards, so the worker's
+        // calls follow the protocol order across shards too.
         for run in runs.iter_mut() {
             run.drain_mail::<PROF>();
-            if let Some(t) = run.shard.queue.peek_time() {
-                min = min.min(t.picos());
-            }
+        }
+        let mut min = u64::MAX;
+        for run in runs.iter_mut() {
+            run.next = run.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
+            min = min.min(run.next);
         }
         coord.mins[w].store(min, Ordering::Release);
         coord.barrier.wait(); // B1: all minima published.
@@ -1055,23 +1062,16 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
         if horizon == ABORT {
             return false;
         }
+        // A shard whose minimum sits at or past the horizon pops nothing
+        // (pops are strictly below), and having dispatched nothing it has
+        // staged no sends, so publishing is a no-op too: skip the visit
+        // outright. Only this worker mutates its shards' queues, so the
+        // minimum is still the one the horizon was computed from.
         let mut delta = 0u64;
-        for run in runs.iter_mut() {
-            // A shard whose minimum sits at or past the horizon pops
-            // nothing (pops are strictly below), and having dispatched
-            // nothing it has staged no sends, so publishing is a no-op
-            // too: skip the visit outright. The queue is untouched since
-            // the minima pass (only this worker mutates it), so the
-            // re-peek sees the same value the horizon was computed from.
-            if run
-                .shard
-                .queue
-                .peek_time()
-                .is_none_or(|t| t.picos() >= horizon)
-            {
-                continue;
-            }
+        for run in runs.iter_mut().filter(|r| r.next < horizon) {
             delta += run.run_epoch::<PROF>(SimTime(horizon));
+        }
+        for run in runs.iter_mut().filter(|r| r.next < horizon) {
             run.publish_outboxes::<PROF>();
         }
         coord.events.fetch_add(delta, Ordering::Relaxed);
@@ -1111,7 +1111,12 @@ fn pair_mut<'r, 'a>(
 /// the per-destination outboxes and the executive appends each batch
 /// straight onto the peer's in-wire lanes — no rings, no publish/take
 /// handshake.
-#[cfg_attr(lint, tcc_no_panic)]
+///
+/// `tcc_phase_ok`: one thread runs every shard and there is no barrier,
+/// so each pass of the loop stages sends (`run_epoch`) and then reads
+/// minima (`peek_time`) in what the epoch-phase pass sees as one
+/// interval. The order argument above replaces the barrier protocol.
+#[cfg_attr(lint, tcc_no_panic, tcc_phase_ok)]
 fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
     let n = runs.len();
     let mut mins = vec![u64::MAX; n];
@@ -1587,6 +1592,7 @@ impl EventEngine {
                 record,
                 flat,
                 clock,
+                next: u64::MAX,
             })
             .collect();
         let clean = match (threads, clock.is_some()) {
@@ -1612,6 +1618,10 @@ impl EventEngine {
                 shard.id
             );
         }
+        // Each commit is held once: a shard's buffer moves into an empty
+        // log; otherwise it is copied into a log reserved exactly for the
+        // rest of the run and freed at once.
+        let mut pending: usize = self.shards.iter().map(|s| s.commits.len()).sum();
         let mut now = self.now;
         for shard in &mut self.shards {
             now = now.max(shard.now);
@@ -1619,7 +1629,15 @@ impl EventEngine {
             shard.events = 0;
             self.profile.merge(shard.profile);
             shard.profile = StageProfile::default();
-            self.commits_log.append(&mut shard.commits);
+            let commits = std::mem::take(&mut shard.commits);
+            if self.commits_log.is_empty() {
+                pending -= commits.len();
+                self.commits_log = commits;
+            } else {
+                self.commits_log.reserve_exact(pending);
+                pending -= commits.len();
+                self.commits_log.extend_from_slice(&commits);
+            }
         }
         self.now = now;
         if record {

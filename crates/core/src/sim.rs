@@ -117,6 +117,8 @@ impl SimCluster {
         for node in &mut self.platform.nodes {
             node.raw_egress = true;
         }
+        // Drop the old engine and its commit log before building the next.
+        self.event = None;
         self.event = Some(EventEngine::with_options(
             &mut self.platform,
             drain,

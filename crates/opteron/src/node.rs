@@ -638,8 +638,7 @@ impl Node {
     /// An uncached poll: read `len` bytes at local DRAM `offset`. Returns
     /// the bytes and the completion time (`now + uc_read`).
     pub fn uc_poll(&mut self, now: SimTime, offset: u64, len: usize) -> (Vec<u8>, SimTime) {
-        let data = self.mem.peek(offset, len).to_vec();
-        (data, now + self.params.uc_read)
+        (self.mem.peek(offset, len), now + self.params.uc_read)
     }
 
     /// Reset the node's dynamic pipeline state (between benchmark runs),

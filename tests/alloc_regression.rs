@@ -219,3 +219,45 @@ fn lane_queue_hold_loop_allocates_nothing() {
     );
     assert_eq!(q.len(), LANES * PER_LANE as usize + HEAP as usize);
 }
+
+#[test]
+fn smoke_all_to_all_resident_dram_is_exact() {
+    // DRAM is page-sparse, so the host memory behind the simulated DRAM
+    // is a deterministic count of the 4 KiB pages a run writes. On the
+    // 4x4 mesh (16 supernodes of 2 nodes, 1 MiB each) the boot self-test
+    // writes 8 B at offset 64 of every supernode's first node: one page
+    // on each of 16 nodes. The all-to-all then sends 2 KiB from every
+    // supernode's first node to every other one; each flow lands in its
+    // own 4 KiB-aligned window of the destination (`WIN` = 0x1000 from
+    // `WIN_BASE` = 0x8_0000), so each of the 16 destinations gains 15
+    // pages. Total: 16 + 16 x 15 = 256 pages = 1 MiB of the 32 MiB the
+    // cluster exports.
+    use tcc_firmware::topology::ClusterTopology;
+    use tccluster::{EngineKind, TcclusterBuilder, TrafficPattern};
+    const PAGE: usize = tcc_opteron::mem::PAGE_BYTES;
+    const BOOT_PAGES: usize = 16;
+    const WINDOW_PAGES: usize = 16 * 15;
+    let mut cluster = TcclusterBuilder::new()
+        .topology(ClusterTopology::Mesh { x: 4, y: 4 })
+        .processors_per_supernode(2)
+        .engine(EngineKind::EventDriven)
+        .build_sim();
+    let resident = |c: &tccluster::SimCluster| -> usize {
+        c.platform
+            .nodes
+            .iter()
+            .map(|n| n.mem.resident_bytes())
+            .sum()
+    };
+    assert_eq!(resident(&cluster), BOOT_PAGES * PAGE, "after boot");
+    let report = cluster.run_workload(TrafficPattern::AllToAll, 2 << 10);
+    assert_eq!(report.lost_packets(), 0);
+    assert_eq!(resident(&cluster), (BOOT_PAGES + WINDOW_PAGES) * PAGE);
+    let exported: usize = cluster
+        .platform
+        .nodes
+        .iter()
+        .map(|n| n.mem.capacity())
+        .sum();
+    assert_eq!(exported, 32 << 20);
+}
