@@ -18,7 +18,6 @@ pub struct TcclusterBuilder {
     dram_per_node: u64,
     tcc_link: LinkConfig,
     params: UarchParams,
-    mode: SendMode,
     engine: EngineKind,
     options: EngineOptions,
 }
@@ -40,7 +39,6 @@ impl TcclusterBuilder {
             dram_per_node: 1 << 20,
             tcc_link: LinkConfig::PROTOTYPE,
             params: UarchParams::shanghai(),
-            mode: SendMode::WeaklyOrdered,
             engine: EngineKind::Chained,
             options: EngineOptions::default(),
         }
@@ -76,13 +74,6 @@ impl TcclusterBuilder {
     #[must_use]
     pub fn params(mut self, p: UarchParams) -> Self {
         self.params = p;
-        self
-    }
-
-    /// Send-ordering mode for the shared-memory backend.
-    #[must_use]
-    pub fn send_mode(mut self, m: SendMode) -> Self {
-        self.mode = m;
         self
     }
 
@@ -129,11 +120,11 @@ impl TcclusterBuilder {
     }
 
     /// Build the threaded shared-memory emulation with one rank per
-    /// processor.
+    /// processor, sending weakly ordered (the paper's fast mode).
     #[must_use]
     pub fn build_shm(&self) -> ShmCluster {
         let ranks = self.spec().total_processors();
-        ShmCluster::new(ranks, self.mode)
+        ShmCluster::new(ranks, SendMode::WeaklyOrdered)
     }
 }
 

@@ -37,13 +37,17 @@
 //! delivers an event into a shard's past.
 //!
 //! Determinism: every event carries an [`EventKey`] `(time, shard, seq)`
-//! stamped by the shard that *scheduled* it, each shard pops its queue
-//! in total key order, and sequential execution (`threads = 1`) runs the
-//! *same* epoch algorithm — so results are bit-identical for any thread
-//! count. DRAM commits are concatenated in shard-index order after each
-//! run, and monitor callbacks are recorded per shard and replayed in
-//! merged global key order (see `replay_monitors`), which is likewise
-//! thread-count-invariant.
+//! stamped by the shard that *scheduled* it, and each shard pops its
+//! queue in total key order. With `threads = 1` the engine runs
+//! `run_sequential`, a merged single-driver loop with no epochs or
+//! barriers, instead of the epoch algorithm. Results still match bit for
+//! bit for any thread count: both executives handle each shard's events
+//! in key order, and no cross-shard event lands below the horizon either
+//! one runs to, so the interleaving across shards is unobservable
+//! (docs/engine.md, "The exec path"). DRAM commits are concatenated in
+//! shard-index order after each run, and monitor callbacks are recorded
+//! per shard and replayed in merged global key order (see
+//! `replay_monitors`), which is likewise thread-count-invariant.
 //!
 //! The two engines are pinned to each other by cross-validation: on a
 //! single flow their goodput must agree within a few percent (see
@@ -72,7 +76,7 @@ use tcc_ht::packet::{Packet, VirtualChannel};
 use tcc_msglib::handoff::BatchRing;
 use tcc_opteron::nb::FlatTable;
 use tcc_opteron::node::{DeliverOutcome, FlatOutcome, Node};
-use tcc_opteron::regs::{LinkId, LINKS_PER_NODE};
+use tcc_opteron::regs::{LinkId, NodeId, LINKS_PER_NODE};
 use tcc_opteron::{Disposition, Source};
 
 /// Which timing engine a [`SimCluster`](crate::sim::SimCluster) runs on.
@@ -93,8 +97,10 @@ pub enum EngineKind {
 pub struct EngineOptions {
     /// Worker threads for the sharded conservative-PDES executive. One
     /// shard per supernode; threads beyond the shard count are clamped.
-    /// `1` runs the same epoch algorithm inline (no spawn, no barriers)
-    /// and is the zero-allocation reference path.
+    /// `1` runs `run_sequential`, the merged single-driver loop (no
+    /// spawn, no epochs, no barriers), and is the zero-allocation
+    /// reference path; its results equal the epoch algorithm's bit for
+    /// bit because each shard still handles its events in key order.
     pub threads: usize,
     /// Monotonic nanosecond clock for per-stage attribution
     /// ([`EventEngine::stage_profile`]). `None` (the default) runs the
@@ -115,8 +121,9 @@ impl Default for EngineOptions {
 }
 
 /// Wall-clock attribution of a profiled run, split over the three hot
-/// sections of the epoch loop. Only populated when
-/// [`EngineOptions::profile_clock`] is set; all zeros otherwise.
+/// sections of the epoch loop. Every field but `epochs` is filled only
+/// when [`EngineOptions::profile_clock`] is set and stays zero otherwise;
+/// `epochs` counts productive shard visits on every run.
 ///
 /// Queue and exec time are **sampled**: one event in
 /// [`PROFILE_SAMPLE_EVERY`] gets clocked (`sampled_events` counts them),
@@ -217,60 +224,70 @@ const EVENT_BUDGET: u64 = 500_000_000;
 static ZERO64: [u8; 64] = [0u8; 64];
 
 /// What a shard lane entry carries beyond its `(at, seq)`: the lane names
-/// the node (and for arrivals the link) and the source shard.
+/// the port (for arrivals) or the node (for drains) and the source shard.
 #[derive(Debug)]
 enum LaneEntry {
     /// A packet arrives on the lane's in-wire.
     Arrive(Packet),
-    /// The receiver at the lane's node finished a packet of this shape on
-    /// `link`; its buffers become returnable credits.
+    /// The receiver at the lane's node finished a packet of this shape
+    /// that came in on port `port`; its buffers become returnable credits.
     Drained {
-        link: LinkId,
+        port: usize,
         vc: VirtualChannel,
         has_data: bool,
     },
 }
 
 /// The shard heap's payload: the event kinds whose keys follow no lane
-/// order. `node` is global; `flow` indexes the owning shard's flow table
-/// (a flow lives at its source node's shard).
+/// order. `flow` indexes the owning shard's flow table (a flow lives at
+/// its source node's shard), `port` its port table.
 #[derive(Debug)]
 enum Timer {
     /// Flow `flow` tries to enqueue + pump more packets at its source.
     Pump { flow: usize },
-    /// A node's store path handed a packet to the fabric at (node, link).
-    Inject {
-        node: usize,
-        link: LinkId,
-        packet: Packet,
-    },
+    /// A node's store path handed a packet to the fabric at `port`.
+    Inject { port: usize, packet: Packet },
 }
 
 /// A cross-shard arrival in flight through an outbox or batch ring; the
-/// receiving shard appends it to the in-wire lane of `(node, link)`.
+/// receiving shard appends it to the in-wire lane of its port `port`.
 #[derive(Debug)]
 struct Mail {
     at: SimTime,
     seq: u64,
-    node: usize,
-    link: LinkId,
+    port: usize,
     packet: Packet,
 }
 
-/// One directed end of a trained wire: the transmitter leaving `node` via
+// A shard has at most `NodeId::MAX_COHERENT` nodes of `LINKS_PER_NODE`
+// ports each, so a port index fits the byte `PortState::provenance`
+// stores it in.
+const _: () = assert!(NodeId::MAX_COHERENT as usize * LINKS_PER_NODE <= u8::MAX as usize);
+
+/// One directed end of a trained wire: the transmitter leaving a node via
 /// `link` plus the receiver for packets arriving there.
 #[derive(Debug)]
 pub struct PortState {
     tx: LinkTx,
     rx: LinkRx,
+    /// Node-local index of this end's node.
+    ln: usize,
+    link: LinkId,
     peer: usize,
     peer_link: LinkId,
+    /// Shard of the far end, and the far end's index in that shard's port
+    /// table (which is also its in-wire lane there).
+    peer_shard: u32,
+    peer_port: usize,
     coherent: bool,
-    /// Input link each queued (Posted, data-bearing) packet came in on;
+    /// Input port each queued (Posted, data-bearing) packet came in on;
     /// `None` for locally injected packets. Exactly parallel to the tx
     /// Posted queue: the engine never enqueues NOPs (they go out via
-    /// `send_nop`), so one delivery pops one entry.
-    provenance: VecDeque<Option<LinkId>>,
+    /// `send_nop`), so one delivery pops one entry. One byte per index:
+    /// forwards into the coherent crossbar free their input buffer at
+    /// handoff, so credits do not bound this queue, and with 16-byte
+    /// entries the 4×4 hotspot's peak heap grew by 8 MB.
+    provenance: VecDeque<Option<u8>>,
     /// Shard-local indices of flows whose first hop leaves through this
     /// port — woken when a credit NOP arrives.
     flows: Vec<usize>,
@@ -318,8 +335,9 @@ pub struct Flow {
     pub src: usize,
     /// Global destination node index.
     pub dst: usize,
-    /// First-hop link out of `src` (from the northbridge's own routing).
-    port: LinkId,
+    /// First-hop port out of `src` (from the northbridge's own routing),
+    /// indexing the source shard's port table.
+    port: usize,
     /// Node-local offset of the landing window in `dst`'s DRAM.
     win_off: u64,
     /// Window size in bytes; packet addresses wrap within it.
@@ -359,15 +377,19 @@ struct Shard {
     id: u32,
     /// First global node index of this supernode.
     base: usize,
-    /// Ports indexed by node-local index (`global - base`).
-    ports: Vec<[Option<PortState>; LINKS_PER_NODE]>,
+    /// The trained wire ends of this supernode's nodes, in ascending
+    /// (node, link) order. A port's index is also its in-wire lane.
+    ports: Vec<PortState>,
+    /// Node-local `(ln, link)` → index into `ports`; `None` where the link
+    /// is not trained.
+    port_at: Vec<[Option<usize>; LINKS_PER_NODE]>,
     /// Per-node receive-bridge serialisation clock for buffer drains.
     drain_free: Vec<SimTime>,
     /// Flows sourced at this shard's nodes.
     flows: Vec<Flow>,
-    /// Lanes `ln * LINKS_PER_NODE + link` hold the arrivals on each
-    /// in-wire, lanes `ports.len() * LINKS_PER_NODE + ln` each node's
-    /// drains; pumps and injects go to the heap.
+    /// Lane `p < ports.len()` holds the arrivals on port `p`'s in-wire,
+    /// lane `ports.len() + ln` node `ln`'s drains; pumps and injects go
+    /// to the heap.
     queue: LaneQueue<LaneEntry, Timer>,
     /// Drain, pump and inject events pushed so far (one add per push),
     /// for [`EventEngine::event_counts`].
@@ -407,12 +429,26 @@ struct Shard {
 }
 
 impl Shard {
-    /// Append an arrival at (global `node`, `link`) to its in-wire lane.
+    /// Append an arrival to its port's in-wire lane.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn push_arrival(&mut self, m: Mail) {
-        let lane = (m.node - self.base) * LINKS_PER_NODE + m.link.0 as usize;
         self.queue
-            .push_lane(lane, m.at, m.seq, LaneEntry::Arrive(m.packet));
+            .push_lane(m.port, m.at, m.seq, LaneEntry::Arrive(m.packet));
+    }
+
+    /// The index of the port at node-local `ln`, `link`.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    fn port_index(&self, ln: usize, link: LinkId) -> usize {
+        match self.port_at[ln][link.0 as usize] {
+            Some(p) => p,
+            None => protocol_violation!("n{} l{}: port not wired", self.base + ln, link.0),
+        }
+    }
+
+    /// The (global node, link) of port `p`, for diagnostics.
+    fn wire_end(&self, p: usize) -> (usize, u8) {
+        let port = &self.ports[p];
+        (self.base + port.ln, port.link.0)
     }
 }
 
@@ -434,9 +470,6 @@ struct ShardRun<'a> {
     /// `nodes`), snapshotted at engine build.
     flat: &'a [FlatTable],
     rings: &'a [Vec<Option<EventRing>>],
-    /// Global node index → owning shard id — `node / procs` precomputed,
-    /// so the per-delivery routing in `send_arrive` never divides.
-    shard_of: &'a [u32],
     drain: Duration,
     /// Record monitor callbacks for post-run replay. Also selects the
     /// wire lane: unmonitored runs take the flat fast lane for 64 B
@@ -460,46 +493,46 @@ impl ShardRun<'_> {
         seq
     }
 
-    /// Serialise a buffer drain through `node`'s receive bridge.
-    fn schedule_drain(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        link: LinkId,
-        vc: VirtualChannel,
-        has_data: bool,
-    ) {
-        let ln = node - self.shard.base;
+    /// Serialise the drain of a buffer of port `p` through its node's
+    /// receive bridge.
+    fn schedule_drain(&mut self, now: SimTime, p: usize, vc: VirtualChannel, has_data: bool) {
+        let ln = self.shard.ports[p].ln;
         let start = now.max(self.shard.drain_free[ln]);
         self.shard.drain_free[ln] = start + self.drain;
         let seq = self.next_seq();
-        let lane = self.shard.ports.len() * LINKS_PER_NODE + ln;
+        let lane = self.shard.ports.len() + ln;
         self.shard.drains += 1;
         self.shard.queue.push_lane(
             lane,
             start + self.drain,
             seq,
-            LaneEntry::Drained { link, vc, has_data },
+            LaneEntry::Drained {
+                port: p,
+                vc,
+                has_data,
+            },
         );
     }
 
-    /// Route an `Arrive` to whichever shard owns the receiving node:
-    /// onto our own in-wire lane, or toward the peer shard (applied at
-    /// the next epoch barrier — sound because the arrival is at least
-    /// one lookahead past the current horizon's base). A cross-shard
-    /// send is a plain push onto this shard's private staging buffer —
-    /// no lock, no atomic. The threaded executive publishes the whole
-    /// buffer once at the epoch barrier (`publish_outboxes`); the
+    /// Send an `Arrive` over port `p`'s wire to whichever shard owns the
+    /// far end: onto our own in-wire lane, or toward the peer shard
+    /// (applied at the next epoch barrier — sound because the arrival is
+    /// at least one lookahead past the current horizon's base). A
+    /// cross-shard send is a plain push onto this shard's private staging
+    /// buffer — no lock, no atomic. The threaded executive publishes the
+    /// whole buffer once at the epoch barrier (`publish_outboxes`); the
     /// sequential one moves it straight into the peer queue.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn send_arrive(&mut self, at: SimTime, node: usize, link: LinkId, packet: Packet) {
-        let dst = self.shard_of[node] as usize;
+    fn send_arrive(&mut self, at: SimTime, p: usize, packet: Packet) {
+        let (dst, port) = {
+            let out = &self.shard.ports[p];
+            (out.peer_shard as usize, out.peer_port)
+        };
         let seq = self.next_seq();
         let m = Mail {
             at,
             seq,
-            node,
-            link,
+            port,
             packet,
         };
         if dst == self.shard.id as usize {
@@ -563,32 +596,29 @@ impl ShardRun<'_> {
         }
     }
 
-    /// Handle one popped lane or heap entry; the lane index names the
-    /// node (and for arrivals the link). The profiled instantiation sends
+    /// Handle one popped lane or heap entry; an arrival's lane index is
+    /// its port. The profiled instantiation sends
     /// arrivals through the instrumented [`on_arrive`](Self::on_arrive)
     /// so exec time sub-attributes into credit/route/deliver; the other
     /// event kinds have no sub-stages.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn dispatch<const PROF: bool>(&mut self, ev: Popped<LaneEntry, Timer>) {
         match ev {
-            Popped::Lane(i, key, LaneEntry::Arrive(packet)) => {
+            Popped::Lane(p, key, LaneEntry::Arrive(packet)) => {
                 self.shard.now = key.at;
-                let node = self.shard.base + i / LINKS_PER_NODE;
-                let link = LinkId((i % LINKS_PER_NODE) as u8);
-                self.on_arrive::<PROF>(key, node, link, packet);
+                self.on_arrive::<PROF>(key, p, packet);
             }
-            Popped::Lane(i, key, LaneEntry::Drained { link, vc, has_data }) => {
+            Popped::Lane(_, key, LaneEntry::Drained { port, vc, has_data }) => {
                 self.shard.now = key.at;
-                let node = self.shard.base + i - self.shard.ports.len() * LINKS_PER_NODE;
-                self.on_drained(key.at, node, link, vc, has_data);
+                self.on_drained(key.at, port, vc, has_data);
             }
             Popped::Heap(key, Timer::Pump { flow }) => {
                 self.shard.now = key.at;
                 self.pump_flow(key.at, flow);
             }
-            Popped::Heap(key, Timer::Inject { node, link, packet }) => {
+            Popped::Heap(key, Timer::Inject { port, packet }) => {
                 self.shard.now = key.at;
-                self.on_inject(key.at, node, link, packet);
+                self.on_inject(key.at, port, packet);
             }
         }
     }
@@ -640,12 +670,9 @@ impl ShardRun<'_> {
     /// when the wire frees; a non-empty queue means credits blocked and
     /// the arrival of a credit NOP will re-pump (no busy-spin).
     fn pump_flow(&mut self, now: SimTime, i: usize) {
-        let base = self.shard.base;
         let Shard { flows, ports, .. } = &mut *self.shard;
         let f = &mut flows[i];
-        let Some(port) = ports[f.src - base][f.port.0 as usize].as_mut() else {
-            protocol_violation!("flow {i}: first hop n{} l{} is not wired", f.src, f.port.0);
-        };
+        let port = &mut ports[f.port];
         while f.remaining > 0 && port.tx.queued(VirtualChannel::Posted) < 4 {
             port.tx
                 .enqueue(Packet::posted_write(f.next, Bytes::from_static(&ZERO64)));
@@ -654,11 +681,9 @@ impl ShardRun<'_> {
             f.remaining -= 1;
             f.injected += 1;
         }
-        let (src, link, remaining) = (f.src, f.port, f.remaining);
-        self.pump_port(now, src, link);
-        let Some(port) = self.shard.ports[src - base][link.0 as usize].as_ref() else {
-            protocol_violation!("flow {i}: first hop n{src} l{} vanished", link.0);
-        };
+        let (p, remaining) = (f.port, f.remaining);
+        self.pump_port(now, p);
+        let port = &self.shard.ports[p];
         if remaining > 0 && port.tx.queued(VirtualChannel::Posted) == 0 {
             let at = port.tx.next_free().max(now + Duration(1_000));
             let key = EventKey {
@@ -673,61 +698,42 @@ impl ShardRun<'_> {
         }
     }
 
-    /// Transmit whatever credits admit at (node, link), scheduling an
-    /// arrival per delivery. A delivery whose provenance names an input
-    /// link releases that input port's buffer (hold-until-forwarded),
-    /// serialised through the node's receive bridge.
+    /// Transmit whatever credits admit at port `p`, scheduling an arrival
+    /// per delivery. A delivery whose provenance names an input port
+    /// releases that port's buffer (hold-until-forwarded), serialised
+    /// through the node's receive bridge.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pump_port(&mut self, now: SimTime, node: usize, link: LinkId) {
-        let ln = node - self.shard.base;
-        let (peer, peer_link) = {
-            let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                protocol_violation!("pump on inactive port n{node} l{}", link.0);
-            };
-            // Idle transmitter: nothing to send, nothing to stall-count,
-            // no provenance to release. Redundant pumps (a credit NOP on
-            // a caught-up port, a flow wake that enqueued nothing) are
-            // common enough that the early-out pays.
-            if port.tx.is_idle() {
-                return;
-            }
-            (port.peer, port.peer_link)
-        };
+    fn pump_port(&mut self, now: SimTime, p: usize) {
+        // Idle transmitter: nothing to send, nothing to stall-count, no
+        // provenance to release. Redundant pumps (a credit NOP on a
+        // caught-up port, a flow wake that enqueued nothing) are common
+        // enough that the early-out pays.
+        if self.shard.ports[p].tx.is_idle() {
+            return;
+        }
         let mut out = std::mem::take(&mut self.shard.dels);
         out.clear();
-        {
-            let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                protocol_violation!("pump on inactive port n{node} l{}", link.0);
-            };
-            port.tx.pump_into(now, &mut out);
-        }
+        self.shard.ports[p].tx.pump_into(now, &mut out);
         for d in out.drain(..) {
-            let Some(Some(from)) = self.shard.ports[ln][link.0 as usize]
-                .as_mut()
-                .map(|p| p.provenance.pop_front())
-            else {
-                protocol_violation!(
-                    "n{node} l{}: provenance out of step with deliveries",
-                    link.0
-                );
+            let Some(from) = self.shard.ports[p].provenance.pop_front() else {
+                let (node, link) = self.shard.wire_end(p);
+                protocol_violation!("n{node} l{link}: provenance out of step with deliveries");
             };
-            if let Some(in_link) = from {
-                self.schedule_drain(now, node, in_link, d.packet.vc(), !d.packet.data.is_empty());
+            if let Some(in_port) = from {
+                let (vc, has_data) = (d.packet.vc(), !d.packet.data.is_empty());
+                self.schedule_drain(now, usize::from(in_port), vc, has_data);
             }
-            self.send_arrive(d.arrival, peer, peer_link, d.packet);
+            self.send_arrive(d.arrival, p, d.packet);
         }
         self.shard.dels = out;
     }
 
-    /// A node's own store path handed a packet to the fabric.
-    fn on_inject(&mut self, now: SimTime, node: usize, link: LinkId, packet: Packet) {
-        let ln = node - self.shard.base;
-        let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-            protocol_violation!("inject on inactive port n{node} l{}", link.0);
-        };
+    /// A node's own store path handed a packet to the fabric at port `p`.
+    fn on_inject(&mut self, now: SimTime, p: usize, packet: Packet) {
+        let port = &mut self.shard.ports[p];
         port.tx.enqueue(packet);
         port.provenance.push_back(None);
-        self.pump_port(now, node, link);
+        self.pump_port(now, p);
     }
 
     /// Clock read for the profiled instantiation; compiles to nothing on
@@ -741,7 +747,7 @@ impl ShardRun<'_> {
         }
     }
 
-    /// A packet lands at (node, link): record it for the monitors, occupy
+    /// A packet lands at port `p`: record it for the monitors, occupy
     /// a buffer, and route it — commit locally, forward out another link,
     /// or (for a NOP) release the credits it carries and wake blocked
     /// transmitters. The profiled instantiation fills
@@ -750,30 +756,21 @@ impl ShardRun<'_> {
     // the Drain event scheduled here fires and on_drained releases it.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(credit, rxbuf), tcc_transfer_ok)]
-    fn on_arrive<const PROF: bool>(
-        &mut self,
-        key: EventKey,
-        node: usize,
-        link: LinkId,
-        packet: Packet,
-    ) {
+    fn on_arrive<const PROF: bool>(&mut self, key: EventKey, p: usize, packet: Packet) {
         let now = key.at;
-        let ln = node - self.shard.base;
-        let (peer, peer_link, coherent) = {
-            let Some(port) = self.shard.ports[ln][link.0 as usize].as_ref() else {
-                protocol_violation!("arrival on inactive port n{node} l{}", link.0);
-            };
-            (port.peer, port.peer_link, port.coherent)
-        };
+        let port = &self.shard.ports[p];
+        let (ln, link, coherent) = (port.ln, port.link, port.coherent);
+        let node = self.shard.base + ln;
         if self.record {
-            self.shard.monlog.push(MonRec {
+            let rec = MonRec {
                 key,
-                src: (peer, peer_link),
+                src: (port.peer, port.peer_link),
                 dst: (node, link),
                 coherent,
                 arrival: now,
                 packet: packet.clone(),
-            });
+            };
+            self.shard.monlog.push(rec);
         }
         let t0 = self.tick::<PROF>();
         // ── Flat fast lane: the fixed-shape 64 B posted write whose
@@ -786,10 +783,7 @@ impl ShardRun<'_> {
             if let Some(addr) = packet.flat_addr() {
                 if let Some(plan) = self.flat[ln].lookup(addr) {
                     let t_route = self.tick::<PROF>();
-                    let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                        protocol_violation!("arrival port n{node} l{} vanished", link.0);
-                    };
-                    if let Err(e) = port.rx.accept_flat() {
+                    if let Err(e) = self.shard.ports[p].rx.accept_flat() {
                         protocol_violation!(
                             "n{node} l{}: sender violated flow control: {e}",
                             link.0
@@ -807,27 +801,22 @@ impl ShardRun<'_> {
                             DeliverOutcome::Forward { link, packet, at }
                         }
                     };
-                    self.act_on_delivery(now, node, link, VirtualChannel::Posted, 64, outcome);
+                    self.act_on_delivery(now, p, VirtualChannel::Posted, 64, outcome);
                     if PROF {
                         let end = self.tick::<PROF>();
-                        let p = &mut self.shard.profile;
-                        p.route_ns +=
+                        let prof = &mut self.shard.profile;
+                        prof.route_ns +=
                             t_route.saturating_sub(t0) + t_deliver.saturating_sub(t_credit);
-                        p.credit_ns += t_credit.saturating_sub(t_route);
-                        p.deliver_ns += end.saturating_sub(t_deliver);
+                        prof.credit_ns += t_credit.saturating_sub(t_route);
+                        prof.deliver_ns += end.saturating_sub(t_deliver);
                     }
                     return;
                 }
             }
         }
-        let accepted = {
-            let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                protocol_violation!("arrival port n{node} l{} vanished", link.0);
-            };
-            port.rx.accept(&packet).unwrap_or_else(|e| {
-                protocol_violation!("n{node} l{}: sender violated flow control: {e}", link.0)
-            })
-        };
+        let accepted = self.shard.ports[p].rx.accept(&packet).unwrap_or_else(|e| {
+            protocol_violation!("n{node} l{}: sender violated flow control: {e}", link.0)
+        });
         let t_credit = self.tick::<PROF>();
         if PROF {
             self.shard.profile.credit_ns += t_credit.saturating_sub(t0);
@@ -836,21 +825,12 @@ impl ShardRun<'_> {
             Some(ret) => {
                 // A credit NOP: freed credits may unblock the queue and
                 // any flow sourced at this port, immediately.
-                let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                    protocol_violation!("arrival port n{node} l{} vanished", link.0);
-                };
-                if let Err(e) = port.tx.credit_return(ret) {
+                if let Err(e) = self.shard.ports[p].tx.credit_return(ret) {
                     protocol_violation!("n{node} l{}: bad credit return: {e}", link.0);
                 }
-                self.pump_port(now, node, link);
-                let n = match self.shard.ports[ln][link.0 as usize].as_ref() {
-                    Some(p) => p.flows.len(),
-                    None => 0,
-                };
-                for k in 0..n {
-                    let Some(port) = self.shard.ports[ln][link.0 as usize].as_ref() else {
-                        break;
-                    };
+                self.pump_port(now, p);
+                for k in 0..self.shard.ports[p].flows.len() {
+                    let port = &self.shard.ports[p];
                     // Once the transmit queue is full again the freed
                     // credits are spoken for: no later flow can enqueue
                     // (the queue caps at 4) or transmit (pump_flow's own
@@ -891,7 +871,7 @@ impl ShardRun<'_> {
                 if PROF {
                     self.shard.profile.route_ns += t_route.saturating_sub(t_credit);
                 }
-                self.act_on_delivery(now, node, link, vc, bytes, outcome);
+                self.act_on_delivery(now, p, vc, bytes, outcome);
                 if PROF {
                     let end = self.tick::<PROF>();
                     self.shard.profile.deliver_ns += end.saturating_sub(t_route);
@@ -900,10 +880,11 @@ impl ShardRun<'_> {
         }
     }
 
-    /// Act on where an accepted packet of `bytes` payload in `vc` went,
-    /// for both wire lanes: a commit schedules the input buffer's drain
-    /// and logs the write; a filtered broadcast schedules the drain; a
-    /// forward enqueues the packet on its output link and pumps it.
+    /// Act on where a packet of `bytes` payload in `vc`, accepted at port
+    /// `p`, went, for both wire lanes: a commit schedules the input
+    /// buffer's drain and logs the write; a filtered broadcast schedules
+    /// the drain; a forward enqueues the packet on its output port and
+    /// pumps it.
     ///
     /// Across a TCC hop a forward holds the input buffer until the packet
     /// leaves on the output link (hold-until-forwarded: `pump_port`
@@ -921,16 +902,17 @@ impl ShardRun<'_> {
     fn act_on_delivery(
         &mut self,
         now: SimTime,
-        node: usize,
-        link: LinkId,
+        p: usize,
         vc: VirtualChannel,
         bytes: u64,
         outcome: DeliverOutcome,
     ) {
         let has_data = bytes != 0;
+        let ln = self.shard.ports[p].ln;
         match outcome {
             DeliverOutcome::Committed { offset, visible } => {
-                self.schedule_drain(now, node, link, vc, has_data);
+                self.schedule_drain(now, p, vc, has_data);
+                let node = self.shard.base + ln;
                 self.shard.commits.push(CommitRec {
                     node,
                     offset,
@@ -943,21 +925,17 @@ impl ShardRun<'_> {
                 packet,
                 at,
             } => {
-                let ln = node - self.shard.base;
-                let Some(out_port) = self.shard.ports[ln][out.0 as usize].as_mut() else {
-                    protocol_violation!("forward out inactive port n{node} l{}", out.0);
-                };
+                let q = self.shard.port_index(ln, out);
+                let out_port = &mut self.shard.ports[q];
                 let hold = !out_port.coherent;
                 out_port.tx.enqueue(packet);
-                out_port
-                    .provenance
-                    .push_back(if hold { Some(link) } else { None });
+                out_port.provenance.push_back(hold.then_some(p as u8));
                 if !hold {
-                    self.schedule_drain(now, node, link, vc, has_data);
+                    self.schedule_drain(now, p, vc, has_data);
                 }
-                self.pump_port(at, node, out);
+                self.pump_port(at, q);
             }
-            DeliverOutcome::Filtered => self.schedule_drain(now, node, link, vc, has_data),
+            DeliverOutcome::Filtered => self.schedule_drain(now, p, vc, has_data),
         }
     }
 
@@ -965,35 +943,16 @@ impl ShardRun<'_> {
     /// reverse direction (NOPs bypass credit checks, so returns can never
     /// deadlock).
     #[cfg_attr(lint, tcc_linear(rxbuf))]
-    fn on_drained(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        link: LinkId,
-        vc: VirtualChannel,
-        has_data: bool,
-    ) {
-        let ln = node - self.shard.base;
-        {
-            let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                protocol_violation!("drain on inactive port n{node} l{}", link.0);
-            };
-            if let Err(e) = port.rx.drain_parts(vc, has_data) {
-                protocol_violation!("n{node} l{}: drained a buffer never accepted: {e}", link.0);
-            }
+    fn on_drained(&mut self, now: SimTime, p: usize, vc: VirtualChannel, has_data: bool) {
+        if let Err(e) = self.shard.ports[p].rx.drain_parts(vc, has_data) {
+            let (node, link) = self.shard.wire_end(p);
+            protocol_violation!("n{node} l{link}: drained a buffer never accepted: {e}");
         }
-        loop {
-            let (d, peer, peer_link) = {
-                let Some(port) = self.shard.ports[ln][link.0 as usize].as_mut() else {
-                    break;
-                };
-                if !port.rx.has_pending_credits() {
-                    break;
-                }
-                let ret = port.rx.harvest();
-                (port.tx.send_nop(now, ret), port.peer, port.peer_link)
-            };
-            self.send_arrive(d.arrival, peer, peer_link, d.packet);
+        while self.shard.ports[p].rx.has_pending_credits() {
+            let port = &mut self.shard.ports[p];
+            let ret = port.rx.harvest();
+            let d = port.tx.send_nop(now, ret);
+            self.send_arrive(d.arrival, p, d.packet);
         }
     }
 }
@@ -1266,8 +1225,6 @@ pub struct EventEngine {
     /// Per-node flat dispatch tables, rebuilt at engine construction
     /// (i.e. once per train), indexed like `platform.nodes`.
     flat: Vec<FlatTable>,
-    /// Global node index → owning shard id.
-    shard_of: Vec<u32>,
     profile_clock: Option<fn() -> u64>,
     /// Aggregated per-stage attribution across profiled runs.
     profile: StageProfile,
@@ -1291,55 +1248,73 @@ impl EventEngine {
         // the wire's direction; credit NOPs travel the reverse wire,
         // which is its own port and registers its own pair).
         let mut wired = vec![vec![false; nshards]; nshards];
+        // A port's index is its rank among its shard's trained wire ends
+        // in (node, link) order; fixed here for both ends of every wire.
+        let mut port_at = vec![[None; LINKS_PER_NODE]; n];
+        let mut next = 0;
+        for (node, row) in port_at.iter_mut().enumerate() {
+            if node % procs == 0 {
+                next = 0;
+            }
+            for (l, slot) in row.iter_mut().enumerate() {
+                if platform.route_hop(node, LinkId(l as u8)).is_some() {
+                    *slot = Some(next);
+                    next += 1;
+                }
+            }
+        }
         let mut shards = Vec::with_capacity(nshards);
         for (sid, wired_row) in wired.iter_mut().enumerate() {
             let base = sid * procs;
-            let mut ports: Vec<[Option<PortState>; LINKS_PER_NODE]> =
-                (0..procs).map(|_| std::array::from_fn(|_| None)).collect();
-            for (ln, row) in ports.iter_mut().enumerate() {
+            let mut ports = Vec::new();
+            for ln in 0..procs {
                 let node = base + ln;
-                for (l, slot) in row.iter_mut().enumerate() {
+                for l in 0..LINKS_PER_NODE {
                     let link = LinkId(l as u8);
-                    if let Some((peer, peer_link, coherent)) = platform.route_hop(node, link) {
-                        let config = platform
-                            .active_config(node, link)
-                            .expect("trained wire has an active config");
-                        if peer / procs != sid {
-                            lookahead = lookahead.min(config.hop_latency);
-                            wired_row[peer / procs] = true;
-                        }
-                        // Wires are symmetric, so the in-wire at (node,
-                        // link) is fed by the transmitter at (peer,
-                        // peer_link): its lane's source is the peer's shard.
-                        debug_assert_eq!(
-                            platform.route_hop(peer, peer_link).map(|(n, l, _)| (n, l)),
-                            Some((node, link))
-                        );
-                        let seed = 0x1000 | ((node as u64) << 4) | l as u64;
-                        *slot = Some(PortState {
-                            tx: LinkTx::new(config, seed),
-                            rx: LinkRx::new(),
-                            peer,
-                            peer_link,
-                            coherent,
-                            provenance: VecDeque::new(),
-                            flows: Vec::new(),
-                        });
+                    let Some((peer, peer_link, coherent)) = platform.route_hop(node, link) else {
+                        continue;
+                    };
+                    let config = platform
+                        .active_config(node, link)
+                        .expect("trained wire has an active config");
+                    let peer_shard = peer / procs;
+                    if peer_shard != sid {
+                        lookahead = lookahead.min(config.hop_latency);
+                        wired_row[peer_shard] = true;
                     }
+                    // Wires are symmetric, so the in-wire at (node, link)
+                    // is fed by the transmitter at (peer, peer_link): its
+                    // lane's source is the peer's shard.
+                    debug_assert_eq!(
+                        platform.route_hop(peer, peer_link).map(|(n, l, _)| (n, l)),
+                        Some((node, link))
+                    );
+                    let seed = 0x1000 | ((node as u64) << 4) | l as u64;
+                    ports.push(PortState {
+                        tx: LinkTx::new(config, seed),
+                        rx: LinkRx::new(),
+                        ln,
+                        link,
+                        peer,
+                        peer_link,
+                        peer_shard: peer_shard as u32,
+                        peer_port: port_at[peer][peer_link.0 as usize]
+                            .expect("the far end of a trained wire is trained"),
+                        coherent,
+                        provenance: VecDeque::new(),
+                        flows: Vec::new(),
+                    });
                 }
             }
-            // One lane per in-wire, stamped by the shard across the wire
-            // (unwired lanes never fill), then one drain lane per node.
-            let wire_srcs = ports
-                .iter()
-                .flatten()
-                .map(|p| p.as_ref().map_or(sid, |p| p.peer / procs));
-            let srcs = wire_srcs.chain(std::iter::repeat_n(sid, procs));
-            let queue = LaneQueue::new(srcs.map(|s| s as u32));
+            // One lane per port's in-wire, stamped by the shard across the
+            // wire, then one drain lane per node.
+            let srcs = ports.iter().map(|p| p.peer_shard);
+            let queue = LaneQueue::new(srcs.chain(std::iter::repeat_n(sid as u32, procs)));
             shards.push(Shard {
                 id: sid as u32,
                 base,
                 ports,
+                port_at: port_at[base..base + procs].to_vec(),
                 drain_free: vec![SimTime::ZERO; procs],
                 flows: Vec::new(),
                 queue,
@@ -1389,7 +1364,6 @@ impl EventEngine {
             drain,
             threads: options.threads.max(1),
             flat: platform.nodes.iter().map(|n| n.nb.flat_table()).collect(),
-            shard_of: (0..n).map(|node| (node / procs) as u32).collect(),
             profile_clock: options.profile_clock,
             profile: StageProfile::default(),
             now: SimTime::ZERO,
@@ -1402,9 +1376,9 @@ impl EventEngine {
         self.drain
     }
 
-    /// Per-stage wall-clock attribution accumulated over profiled runs
-    /// (all zeros unless the engine was built with a
-    /// [`profile_clock`](EngineOptions::profile_clock)).
+    /// Per-stage wall-clock attribution accumulated over runs. Without a
+    /// [`profile_clock`](EngineOptions::profile_clock) only `epochs`
+    /// (productive shard visits) is counted; every other field is zero.
     pub fn stage_profile(&self) -> StageProfile {
         self.profile
     }
@@ -1428,22 +1402,15 @@ impl EventEngine {
     /// The port at (node, link), if that wire end is trained.
     pub fn port(&self, node: usize, link: LinkId) -> Option<&PortState> {
         let shard = &self.shards[node / self.procs];
-        shard.ports[node - shard.base][link.0 as usize].as_ref()
+        shard.port_at[node - shard.base][link.0 as usize].map(|p| &shard.ports[p])
     }
 
-    /// All active (node, link) port coordinates.
+    /// All active (node, link) port coordinates, in ascending order.
     pub fn port_ids(&self) -> Vec<(usize, LinkId)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (ln, row) in shard.ports.iter().enumerate() {
-                for (l, slot) in row.iter().enumerate() {
-                    if slot.is_some() {
-                        out.push((shard.base + ln, LinkId(l as u8)));
-                    }
-                }
-            }
-        }
-        out
+        self.shards
+            .iter()
+            .flat_map(|s| s.ports.iter().map(|p| (s.base + p.ln, p.link)))
+            .collect()
     }
 
     /// Total transmitter stalls for want of a credit, across all ports —
@@ -1451,7 +1418,7 @@ impl EventEngine {
     pub fn stalls_no_credit(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.ports.iter().flatten().flatten())
+            .flat_map(|s| &s.ports)
             .map(|p| p.tx.stats.stalls_no_credit)
             .sum()
     }
@@ -1460,7 +1427,7 @@ impl EventEngine {
     pub fn nops_sent(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.ports.iter().flatten().flatten())
+            .flat_map(|s| &s.ports)
             .map(|p| p.tx.stats.nops_sent)
             .sum()
     }
@@ -1476,11 +1443,11 @@ impl EventEngine {
             c.drains += shard.drains;
             c.pumps += shard.pumps;
             c.injects += shard.injects;
-            for port in shard.ports.iter().flatten().flatten() {
+            for port in &shard.ports {
                 let st = &port.tx.stats;
                 c.data_arrivals += st.packets_sent - st.nops_sent;
                 c.nop_arrivals += st.nops_sent;
-                if self.shard_of[port.peer] != shard.id {
+                if port.peer_shard != shard.id {
                     c.cross_shard_sends += st.packets_sent;
                 }
             }
@@ -1495,6 +1462,7 @@ impl EventEngine {
         let at = ready.max(self.now);
         let sid = node / self.procs;
         let shard = &mut self.shards[sid];
+        let port = shard.port_index(node - shard.base, link);
         let key = EventKey {
             at,
             src: sid as u32,
@@ -1504,7 +1472,7 @@ impl EventEngine {
         shard.injects += 1;
         shard
             .queue
-            .schedule_keyed(key, Timer::Inject { node, link, packet });
+            .schedule_keyed(key, Timer::Inject { port, packet });
     }
 
     /// Register a flow of `bytes` (rounded up to 64 B packets) from
@@ -1528,13 +1496,14 @@ impl EventEngine {
         let (s, p) = (dst / self.procs, dst % self.procs);
         let base = spec.node_base(s, p) + win_off;
         let probe = Packet::posted_write(base, Bytes::from_static(&ZERO64));
-        let port = match platform.nodes[src].nb.dispose(&probe, Source::Core) {
+        let link = match platform.nodes[src].nb.dispose(&probe, Source::Core) {
             Ok(Disposition::Forward { link }) => link,
             other => panic!("flow {src}->{dst} does not leave node {src}: {other:?}"),
         };
         let packets = bytes.div_ceil(64).max(1);
         let sid = src / self.procs;
         let shard = &mut self.shards[sid];
+        let port = shard.port_index(src - shard.base, link);
         let lidx = shard.flows.len();
         shard.flows.push(Flow {
             src,
@@ -1547,11 +1516,7 @@ impl EventEngine {
             remaining: packets,
             injected: 0,
         });
-        shard.ports[src - shard.base][port.0 as usize]
-            .as_mut()
-            .expect("flow's first hop is wired")
-            .flows
-            .push(lidx);
+        shard.ports[port].flows.push(lidx);
         let key = EventKey {
             at: self.now,
             src: sid as u32,
@@ -1577,7 +1542,6 @@ impl EventEngine {
         let threads = self.threads.min(self.shards.len()).max(1);
         let rings = &self.rings;
         let clock = self.profile_clock;
-        let shard_of = &self.shard_of;
         let mut runs: Vec<ShardRun<'_>> = self
             .shards
             .iter_mut()
@@ -1587,7 +1551,6 @@ impl EventEngine {
                 shard,
                 nodes,
                 rings,
-                shard_of,
                 drain,
                 record,
                 flat,
@@ -1655,30 +1618,27 @@ impl EventEngine {
     /// a failure here means the engine lost or duplicated a credit.
     pub fn assert_quiescent_credits(&self) {
         for shard in &self.shards {
-            for (ln, row) in shard.ports.iter().enumerate() {
-                let node = shard.base + ln;
-                for (l, slot) in row.iter().enumerate() {
-                    let Some(port) = slot else { continue };
-                    assert!(
-                        port.provenance.is_empty(),
-                        "n{node} l{l}: packets still queued"
+            for (p, port) in shard.ports.iter().enumerate() {
+                let (node, l) = shard.wire_end(p);
+                assert!(
+                    port.provenance.is_empty(),
+                    "n{node} l{l}: packets still queued"
+                );
+                for vc in VirtualChannel::ALL {
+                    let c = port.tx.credits();
+                    assert_eq!(
+                        c.available_cmd(vc),
+                        c.initial_cmd(vc),
+                        "n{node} l{l} {vc}: cmd credits missing"
                     );
-                    for vc in VirtualChannel::ALL {
-                        let c = port.tx.credits();
-                        assert_eq!(
-                            c.available_cmd(vc),
-                            c.initial_cmd(vc),
-                            "n{node} l{l} {vc}: cmd credits missing"
-                        );
-                        assert_eq!(
-                            c.available_data(vc),
-                            c.initial_data(vc),
-                            "n{node} l{l} {vc}: data credits missing"
-                        );
-                        let b = port.rx.buffers();
-                        assert_eq!(b.held(vc), 0, "n{node} l{l} {vc}: buffers occupied");
-                        assert_eq!(b.pending(vc), 0, "n{node} l{l} {vc}: returns unharvested");
-                    }
+                    assert_eq!(
+                        c.available_data(vc),
+                        c.initial_data(vc),
+                        "n{node} l{l} {vc}: data credits missing"
+                    );
+                    let b = port.rx.buffers();
+                    assert_eq!(b.held(vc), 0, "n{node} l{l} {vc}: buffers occupied");
+                    assert_eq!(b.pending(vc), 0, "n{node} l{l} {vc}: returns unharvested");
                 }
             }
         }
@@ -2263,8 +2223,65 @@ mod tests {
                         "{threads} threads: a stage stayed empty: {p:?}"
                     );
                     assert_eq!(p.profiled_events, baseline.2);
+                } else {
+                    // Unprofiled runs count productive visits and nothing else.
+                    assert!(p.epochs > 0, "{threads} threads: no visit counted");
+                    assert_eq!(
+                        p,
+                        StageProfile {
+                            epochs: p.epochs,
+                            ..StageProfile::default()
+                        },
+                        "{threads} threads: an unprofiled run filled a timing field"
+                    );
                 }
             }
         }
+    }
+
+    /// The dense port table on the perfbench shape, a 4×4 mesh with two
+    /// processors per supernode (corner, edge and interior supernodes):
+    /// exactly the trained wire ends in ascending (node, link) order, each
+    /// pointing at its far end, and one lane per trained in-wire plus one
+    /// drain lane per node.
+    #[test]
+    fn port_table_holds_exactly_the_trained_wire_ends() {
+        let mut platform = crate::TcclusterBuilder::new()
+            .topology(ClusterTopology::Mesh { x: 4, y: 4 })
+            .processors_per_supernode(2)
+            .build_sim()
+            .platform;
+        let engine =
+            EventEngine::with_options(&mut platform, DEFAULT_DRAIN, EngineOptions::default());
+        let procs = 2;
+        let mut trained = Vec::new();
+        for node in 0..platform.nodes.len() {
+            for l in 0..LINKS_PER_NODE {
+                let link = LinkId(l as u8);
+                match platform.route_hop(node, link) {
+                    Some((peer, peer_link, coherent)) => {
+                        trained.push((node, link));
+                        let port = engine.port(node, link).expect("trained end has a port");
+                        assert_eq!(port.peer(), (peer, peer_link));
+                        assert_eq!(port.coherent(), coherent);
+                    }
+                    None => assert!(engine.port(node, link).is_none(), "n{node} l{l}"),
+                }
+            }
+        }
+        assert_eq!(engine.port_ids(), trained);
+        let mut wired: Vec<usize> = Vec::new();
+        for (sid, shard) in engine.shards.iter().enumerate() {
+            let in_wires = trained.iter().filter(|(n, _)| n / procs == sid).count();
+            wired.push(in_wires);
+            assert_eq!(shard.queue.lane_count(), in_wires + procs, "shard {sid}");
+            for (p, port) in shard.ports.iter().enumerate() {
+                let far = &engine.shards[port.peer_shard as usize].ports[port.peer_port];
+                assert_eq!((far.peer_shard, far.peer_port), (shard.id, p));
+            }
+        }
+        wired.sort_unstable();
+        wired.dedup();
+        assert_eq!(wired, [4, 5, 6], "corner, edge and interior supernodes");
     }
 }

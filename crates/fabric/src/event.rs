@@ -299,6 +299,11 @@ impl<L, H> LaneQueue<L, H> {
         }
     }
 
+    /// Number of lanes the queue was built with.
+    pub fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
     /// Events pending in the lanes and the heap.
     pub fn len(&self) -> usize {
         self.heap.len() + self.lanes.iter().map(|l| l.fifo.len()).sum::<usize>()
