@@ -56,11 +56,16 @@
 //! describes when each engine's answers are valid.
 //!
 //! Deadlock freedom: TCCluster restricts itself to posted writes, so all
-//! data moves in one VC. The event engine releases an input port's buffer
-//! only once a forwarded packet has been handed to its output link
-//! (hold-until-forwarded), which is safe because X-Y dimension-ordered
-//! routing keeps the channel dependency graph acyclic, and credit-return
-//! NOPs are info packets that never wait for credits.
+//! data moves in one VC, and credit-return NOPs are info packets that
+//! never wait for credits. A forward releases its input buffer under one
+//! of two policies, chosen by the output port (`act_on_delivery`):
+//! - onto a TCC link it holds the buffer until the packet leaves on that
+//!   link (hold-until-forwarded), which is safe because X-Y
+//!   dimension-ordered routing keeps the channel dependency graph acyclic;
+//! - into the coherent crossbar inside a supernode it releases the buffer
+//!   at handoff, because holding across the shared internal links would
+//!   couple the X- and Y-phase dependency graphs into credit cycles.
+//!   The coherent port's transmit queue is therefore unbounded.
 
 use bytes::Bytes;
 use std::collections::VecDeque;

@@ -8,7 +8,6 @@
 //!   FIFO lanes for pre-ordered streams beside one.
 //! * [`channel`] — bandwidth/latency-limited transfer resources (links,
 //!   DRAM channels, PCIe) with exact integer serialisation math.
-//! * [`stats`] — time-weighted gauges.
 //! * [`rng`] — deterministic xoshiro256** / SplitMix64 generators.
 //! * [`trace`] — ordered event traces for boot sequences and protocol FSMs.
 //! * [`series`] — figure/table output shared by all experiment harnesses.
@@ -22,7 +21,6 @@ pub mod event;
 pub mod fatal;
 pub mod rng;
 pub mod series;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -30,6 +28,5 @@ pub use channel::{Channel, RateLimiter, Transfer};
 pub use event::EventQueue;
 pub use rng::Xoshiro256;
 pub use series::{Figure, Series};
-pub use stats::Gauge;
 pub use time::{Duration, SimTime};
 pub use trace::Trace;

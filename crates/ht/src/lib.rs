@@ -7,13 +7,11 @@
 //! * [`wire`] — binary encode/decode of 4- and 8-byte control packets.
 //! * [`flow`] — per-VC credit-based flow control with NOP credit returns.
 //! * [`link`] — physical-layer configs (HT200…HT3), serialisation, VC
-//!   arbitration, CRC error injection and link-level retry.
+//!   arbitration, and CRC error injection priced as whole-packet resends.
 //! * [`init`] — the link-initialisation FSM, including the force-ncHT debug
 //!   register whose abuse is the heart of the TCCluster mechanism.
-//! * [`crc`] — the per-window CRC-32 and its bandwidth derate.
+//! * [`crc`] — the CRC window overhead and its bandwidth derate.
 //! * [`ordering`] — the I/O ordering rules (PassPW, Fence).
-//! * [`retry`] — the HT3 link-level retry protocol: per-frame CRC +
-//!   sequence numbers, cumulative acks, nak-triggered Go-Back-N replay.
 
 #![forbid(unsafe_code)]
 
@@ -23,7 +21,6 @@ pub mod init;
 pub mod link;
 pub mod ordering;
 pub mod packet;
-pub mod retry;
 pub mod wire;
 
 pub use flow::{CreditClass, CreditError, CreditReturn, RxBuffers, TxCredits};
