@@ -548,10 +548,10 @@ impl ShardRun<'_> {
     }
 
     /// Publish every non-empty staging buffer into its pair ring — once
-    /// per epoch, before the B0 barrier (run_worker) or the end of the
-    /// epoch phase. The epoch protocol guarantees at most
-    /// one batch in flight per pair, so a full ring is a protocol bug.
-    /// Profiled runs attribute the time to the mailbox stage.
+    /// per epoch, before the B0 barrier (run_worker). The epoch protocol
+    /// guarantees at most one batch in flight per pair, so a full ring is
+    /// a protocol bug. Profiled runs attribute the time to the mailbox
+    /// stage.
     // tcc_transfer_ok: published batches stay in flight in the pair
     // rings until the receiver shard's drain_mail takes them next epoch.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
@@ -962,9 +962,9 @@ impl ShardRun<'_> {
     }
 }
 
-/// Epoch coordination shared by the PDES workers. Three barrier phases
+/// Epoch coordination shared by the PDES workers. Two barrier phases
 /// per epoch: (B1) every worker has drained its mailboxes and published
-/// its local minimum; (B2) worker 0 has combined them into the next
+/// its local minimum, so each worker folds the same minima into the same
 /// horizon; (B0) every worker has finished the epoch, so all cross-shard
 /// sends for it are in the mailboxes.
 struct Coord {
@@ -972,21 +972,18 @@ struct Coord {
     /// Per-worker minimum next-event time (picoseconds), `u64::MAX` when
     /// the worker's shards are all idle.
     mins: Vec<AtomicU64>,
-    /// The published horizon, or a sentinel ([`DONE`]/[`ABORT`]).
-    horizon: AtomicU64,
-    /// Events handled so far this run, for the budget check.
+    /// Events handled so far this run, for the budget check. Workers add
+    /// to it only between B1 and B0 and read it only between B0 and B1,
+    /// so every worker reads the same total in an epoch.
     events: AtomicU64,
     lookahead: u64,
 }
 
-/// Horizon sentinel: every queue and mailbox is empty — quiescent.
-const DONE: u64 = u64::MAX;
-/// Horizon sentinel: the event budget blew — abort cleanly (a panic in a
-/// worker would deadlock the others on the barrier).
-const ABORT: u64 = u64::MAX - 1;
-
 /// One PDES worker: loops epochs over its contiguous group of shards
-/// until the horizon goes to a sentinel. Returns `true` on quiescence.
+/// until every queue and mailbox is empty (returns `true`) or the event
+/// budget blows (returns `false`). Every worker folds the same minima and
+/// total, so all of them stop in the same epoch and none is left waiting
+/// at a barrier (a panic in one worker would deadlock the others there).
 #[cfg_attr(lint, tcc_no_panic)]
 fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
     loop {
@@ -1001,31 +998,20 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
             min = min.min(run.next);
         }
         coord.mins[w].store(min, Ordering::Release);
+        let total = coord.events.load(Ordering::Relaxed);
         coord.barrier.wait(); // B1: all minima published.
-        if w == 0 {
-            let gmin = coord
-                .mins
-                .iter()
-                .map(|m| m.load(Ordering::Acquire))
-                .fold(u64::MAX, u64::min);
-            let total = coord.events.load(Ordering::Relaxed);
-            let horizon = if gmin == u64::MAX {
-                DONE
-            } else if total > EVENT_BUDGET {
-                ABORT
-            } else {
-                gmin.saturating_add(coord.lookahead).min(ABORT - 1)
-            };
-            coord.horizon.store(horizon, Ordering::Release);
-        }
-        coord.barrier.wait(); // B2: horizon visible to everyone.
-        let horizon = coord.horizon.load(Ordering::Acquire);
-        if horizon == DONE {
+        let gmin = coord
+            .mins
+            .iter()
+            .map(|m| m.load(Ordering::Acquire))
+            .fold(u64::MAX, u64::min);
+        if gmin == u64::MAX {
             return true;
         }
-        if horizon == ABORT {
+        if total > EVENT_BUDGET {
             return false;
         }
+        let horizon = gmin.saturating_add(coord.lookahead);
         // A shard whose minimum sits at or past the horizon pops nothing
         // (pops are strictly below), and having dispatched nothing it has
         // staged no sends, so publishing is a no-op too: skip the visit
@@ -1151,7 +1137,6 @@ fn run_threaded<const PROF: bool>(
     let coord = Coord {
         barrier: Barrier::new(threads),
         mins: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        horizon: AtomicU64::new(0),
         events: AtomicU64::new(0),
         lookahead: lookahead.picos(),
     };
@@ -1171,9 +1156,9 @@ fn run_threaded<const PROF: bool>(
             let coord = &coord;
             s.spawn(move || run_worker::<PROF>(group, w, coord));
         }
-        run_worker::<PROF>(first, 0, &coord);
-    });
-    coord.horizon.load(Ordering::Acquire) == DONE
+        // Every worker reaches the same verdict in the same epoch.
+        run_worker::<PROF>(first, 0, &coord)
+    })
 }
 
 /// Replay recorded monitor callbacks in merged global key order. Each

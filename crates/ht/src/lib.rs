@@ -4,7 +4,6 @@
 //! rev 3.10, built from scratch:
 //!
 //! * [`packet`] — commands, virtual channels, SrcTags, packet wire sizes.
-//! * [`wire`] — binary encode/decode of 4- and 8-byte control packets.
 //! * [`flow`] — per-VC credit-based flow control with NOP credit returns.
 //! * [`link`] — physical-layer configs (HT200…HT3), serialisation, VC
 //!   arbitration, and CRC error injection priced as whole-packet resends.
@@ -21,9 +20,8 @@ pub mod init;
 pub mod link;
 pub mod ordering;
 pub mod packet;
-pub mod wire;
 
 pub use flow::{CreditClass, CreditError, CreditReturn, RxBuffers, TxCredits};
 pub use init::{ActiveLink, Identity, LinkEndpoint, LinkRegs, LinkState};
 pub use link::{Delivery, LinkConfig, LinkRx, LinkStats, LinkTx};
-pub use packet::{Command, Opcode, Packet, SrcTag, UnitId, VirtualChannel, MAX_DATA};
+pub use packet::{Command, Packet, SrcTag, UnitId, VirtualChannel, MAX_DATA};

@@ -78,7 +78,6 @@ impl LinkConfig {
 #[derive(Debug, Default, Clone)]
 pub struct LinkStats {
     pub packets_sent: u64,
-    pub data_bytes_sent: u64,
     pub wire_bytes_sent: u64,
     pub nops_sent: u64,
     pub retries: u64,
@@ -238,7 +237,6 @@ impl LinkTx {
         }
         let t = self.channel.transfer(now, wire);
         self.stats.packets_sent += 1;
-        self.stats.data_bytes_sent += pkt.data.len() as u64;
         self.stats.wire_bytes_sent += wire;
         Delivery {
             packet: pkt,

@@ -1,31 +1,14 @@
 //! HyperTransport packet model.
 //!
 //! Packets follow the HyperTransport I/O Link Specification rev 3.10
-//! control-packet formats closely enough that every field the TCCluster
-//! mechanism depends on (command class, UnitID, SrcTag, SeqID, PassPW,
-//! 40-bit address, dword count) is encoded at its real position and width.
-//! Control packets are 4 or 8 bytes; a data packet of 4..=64 bytes follows
-//! sized writes and read responses.
+//! control-packet formats closely enough to carry every field the
+//! TCCluster mechanism depends on (command class, UnitID, SrcTag, SeqID,
+//! PassPW, address, dword count) and to price each packet at its real wire
+//! size. Control packets are 4 or 8 bytes; a data packet of 4..=64 bytes
+//! follows sized writes and read responses.
 
 use bytes::Bytes;
 use core::fmt;
-
-/// 6-bit HT command opcodes (HT I/O Link Spec rev 3.10, command table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Opcode {
-    Nop = 0x00,
-    Flush = 0x02,
-    /// Sized write; low bits select posted/dword variants at encode time.
-    WrSized = 0x08,
-    /// Sized read.
-    RdSized = 0x10,
-    RdResponse = 0x30,
-    TgtDone = 0x33,
-    Broadcast = 0x3A,
-    Fence = 0x3C,
-    Atomic = 0x3D,
-}
 
 /// The three HyperTransport virtual channels.
 ///
@@ -146,19 +129,6 @@ pub enum Command {
 }
 
 impl Command {
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Command::Nop { .. } => Opcode::Nop,
-            Command::WrSized { .. } => Opcode::WrSized,
-            Command::RdSized { .. } => Opcode::RdSized,
-            Command::RdResponse { .. } => Opcode::RdResponse,
-            Command::TgtDone { .. } => Opcode::TgtDone,
-            Command::Broadcast { .. } => Opcode::Broadcast,
-            Command::Fence { .. } => Opcode::Fence,
-            Command::Flush { .. } => Opcode::Flush,
-        }
-    }
-
     /// Which virtual channel the command travels in.
     pub fn vc(&self) -> VirtualChannel {
         match self {
@@ -271,11 +241,6 @@ impl Packet {
     }
 }
 
-/// HT addresses are 40 bits on the link (the K10 northbridge extends them
-/// to 48 internally; the wire format carries `addr[39:2]`).
-pub const ADDR_BITS: u32 = 40;
-pub const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
-
 /// The dominant TCCluster packet in fixed shape: a full-cacheline posted
 /// write from the host bridge, payload inline. Every field a general
 /// [`Packet`] would carry for this shape is a constant here — command
@@ -365,6 +330,9 @@ mod tests {
     #[test]
     fn header_sizes() {
         assert_eq!(Command::Fence { unit: UnitId::HOST }.header_bytes(), 4);
+        // One credit-return NOP crosses every hop of every run.
+        let nop = crate::flow::nop_for(crate::flow::CreditReturn::default());
+        assert_eq!(nop.header_bytes(), 4);
         let pw = Packet::posted_write(0x0, Bytes::from_static(&[0u8; 8]));
         assert_eq!(pw.cmd.header_bytes(), 8);
         assert_eq!(pw.wire_bytes(), 16);

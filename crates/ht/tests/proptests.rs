@@ -3,102 +3,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use tcc_ht::flow::{RxBuffers, TxCredits};
-use tcc_ht::packet::{Command, Packet, SrcTag, UnitId, VirtualChannel};
-use tcc_ht::wire::{decode, encode};
-
-/// Strategy producing arbitrary valid commands.
-fn arb_command() -> impl Strategy<Value = Command> {
-    let unit = (0u8..32).prop_map(UnitId);
-    let tag = (0u8..32).prop_map(SrcTag::new);
-    // Addresses are dword-aligned 40-bit.
-    let addr = (0u64..(1u64 << 38)).prop_map(|a| a << 2);
-    prop_oneof![
-        (unit.clone(), addr.clone(), 0u8..16, any::<bool>(), 0u8..16).prop_map(
-            |(unit, addr, count, pass_pw, seq_id)| Command::WrSized {
-                posted: true,
-                unit,
-                addr,
-                count,
-                pass_pw,
-                seq_id,
-                tag: None,
-            }
-        ),
-        (
-            unit.clone(),
-            addr.clone(),
-            0u8..16,
-            any::<bool>(),
-            0u8..16,
-            tag.clone()
-        )
-            .prop_map(|(unit, addr, count, pass_pw, seq_id, tag)| {
-                Command::WrSized {
-                    posted: false,
-                    unit,
-                    addr,
-                    count,
-                    pass_pw,
-                    seq_id,
-                    tag: Some(tag),
-                }
-            }),
-        (
-            unit.clone(),
-            addr.clone(),
-            0u8..16,
-            any::<bool>(),
-            0u8..16,
-            tag.clone()
-        )
-            .prop_map(|(unit, addr, count, pass_pw, seq_id, tag)| {
-                Command::RdSized {
-                    unit,
-                    addr,
-                    count,
-                    pass_pw,
-                    seq_id,
-                    tag,
-                }
-            }),
-        (unit.clone(), tag.clone(), any::<bool>())
-            .prop_map(|(unit, tag, error)| Command::RdResponse { unit, tag, error }),
-        (unit.clone(), tag.clone(), any::<bool>())
-            .prop_map(|(unit, tag, error)| Command::TgtDone { unit, tag, error }),
-        (unit.clone(), addr).prop_map(|(unit, addr)| Command::Broadcast { unit, addr }),
-        unit.clone().prop_map(|unit| Command::Fence { unit }),
-        (unit, tag).prop_map(|(unit, tag)| Command::Flush { unit, tag }),
-        (0u8..4, 0u8..4, 0u8..4, 0u8..4, 0u8..4, 0u8..4).prop_map(|(a, b, c, d, e, f)| {
-            Command::Nop {
-                posted_cmd: a,
-                posted_data: b,
-                nonposted_cmd: c,
-                nonposted_data: d,
-                response_cmd: e,
-                response_data: f,
-            }
-        }),
-    ]
-}
+use tcc_ht::packet::{Packet, VirtualChannel};
 
 proptest! {
-    /// encode → decode is the identity on every valid command.
-    #[test]
-    fn wire_round_trip(cmd in arb_command()) {
-        let bytes = encode(&cmd);
-        prop_assert_eq!(bytes.len() as u64, cmd.header_bytes());
-        let (back, used) = decode(&bytes).expect("decodes");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(back, cmd);
-    }
-
-    /// Decoding arbitrary bytes either fails cleanly or yields a command
-    /// that re-encodes to the same opcode class (no panics, no UB).
-    #[test]
-    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..16)) {
-        let _ = decode(&bytes);
-    }
-
     /// Credit conservation under arbitrary interleavings of send / drain /
     /// harvest+release: available + held + pending == initial, and no
     /// operation sequence can create credit out of thin air.
