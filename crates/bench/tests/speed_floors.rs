@@ -167,6 +167,29 @@ fn mesh8_t1_rate_clears_the_recorded_floors() {
     );
 }
 
+/// On a host with two CPUs or more, the 8×8 all-to-all at two threads is
+/// at least as fast as at one: the threaded epoch executive must pay for
+/// its barriers and rings. Below two CPUs the second worker can only
+/// time-share with the first, so the guard skips.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock floor; run in release")]
+fn mesh8_t2_is_not_slower_than_t1() {
+    let cpus = host_cpus();
+    if cpus < 2 {
+        println!("SKIP 8x8 t2/t1: host has {cpus} CPU (two threads would time-share it)");
+        return;
+    }
+    let _serial = serial();
+    let best_t1 = mesh8_best_t1();
+    let best_t2 = best_rate(|| all_to_all_eps(8, MESH8_FLOW_BYTES, 2));
+    let ratio = best_t2 / best_t1;
+    println!("  8x8 t2/t1 {ratio:.2}x");
+    assert!(
+        ratio >= 1.0,
+        "8x8 t2 {best_t2:.0} events/sec is below t1 {best_t1:.0} ({ratio:.2}x)"
+    );
+}
+
 /// On dev-class hosts (>= 8 CPUs) the 8×8 all-to-all scales at least 3x
 /// from one to eight threads and reaches [`MESH8_T1_TARGET_EPS`] on one.
 #[test]

@@ -70,7 +70,6 @@
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use tcc_fabric::event::{EventKey, LaneQueue, Popped};
 use tcc_fabric::protocol_violation;
 use tcc_fabric::time::{Duration, SimTime};
@@ -78,7 +77,7 @@ use tcc_firmware::machine::{PacketEvent, Platform};
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, Port};
 use tcc_ht::link::{Delivery, LinkRx, LinkTx};
 use tcc_ht::packet::{Packet, VirtualChannel};
-use tcc_msglib::handoff::BatchRing;
+use tcc_msglib::handoff::{BatchRing, EpochBarrier};
 use tcc_opteron::nb::FlatTable;
 use tcc_opteron::node::{DeliverOutcome, FlatOutcome, Node};
 use tcc_opteron::regs::{LinkId, NodeId, LINKS_PER_NODE};
@@ -966,9 +965,13 @@ impl ShardRun<'_> {
 /// per epoch: (B1) every worker has drained its mailboxes and published
 /// its local minimum, so each worker folds the same minima into the same
 /// horizon; (B0) every worker has finished the epoch, so all cross-shard
-/// sends for it are in the mailboxes.
+/// sends for it are in the mailboxes. Both are waits on one
+/// [`EpochBarrier`], which polls and then yields rather than parking the
+/// thread in the kernel: an epoch is tens of microseconds of work (about
+/// 1,100 events on the 8×8 all-to-all), short enough that a futex
+/// wake-up per wait was a large share of a two-thread run.
 struct Coord {
-    barrier: Barrier,
+    barrier: EpochBarrier,
     /// Per-worker minimum next-event time (picoseconds), `u64::MAX` when
     /// the worker's shards are all idle.
     mins: Vec<AtomicU64>,
@@ -980,12 +983,17 @@ struct Coord {
 }
 
 /// One PDES worker: loops epochs over its contiguous group of shards
-/// until every queue and mailbox is empty (returns `true`) or the event
-/// budget blows (returns `false`). Every worker folds the same minima and
-/// total, so all of them stop in the same epoch and none is left waiting
-/// at a barrier (a panic in one worker would deadlock the others there).
+/// until every queue and mailbox is empty (verdict `true`) or the event
+/// budget blows (verdict `false`), and returns the verdict with the
+/// number of epochs it ran. Every worker folds the same minima and
+/// total, so all of them stop in the same epoch, count the same epochs,
+/// and none is left waiting at `coord.barrier`. A worker that panics
+/// never arrives there again, so the others spin and yield at the
+/// barrier forever: a deadlock, which is why this function must not
+/// panic.
 #[cfg_attr(lint, tcc_no_panic)]
-fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> bool {
+fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> (bool, u64) {
+    let mut epochs = 0u64;
     loop {
         // Each phase is its own pass over the shards, so the worker's
         // calls follow the protocol order across shards too.
@@ -1006,11 +1014,12 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
             .map(|m| m.load(Ordering::Acquire))
             .fold(u64::MAX, u64::min);
         if gmin == u64::MAX {
-            return true;
+            return (true, epochs);
         }
         if total > EVENT_BUDGET {
-            return false;
+            return (false, epochs);
         }
+        epochs += 1;
         let horizon = gmin.saturating_add(coord.lookahead);
         // A shard whose minimum sits at or past the horizon pops nothing
         // (pops are strictly below), and having dispatched nothing it has
@@ -1128,14 +1137,14 @@ fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Durati
 
 /// Split the shard runs into `threads` contiguous groups and drive them
 /// with scoped workers (worker 0 runs on the caller's thread). Returns
-/// `true` on quiescence.
+/// `true` on quiescence, with the number of epochs run.
 fn run_threaded<const PROF: bool>(
     runs: &mut [ShardRun<'_>],
     lookahead: Duration,
     threads: usize,
-) -> bool {
+) -> (bool, u64) {
     let coord = Coord {
-        barrier: Barrier::new(threads),
+        barrier: EpochBarrier::new(threads),
         mins: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
         events: AtomicU64::new(0),
         lookahead: lookahead.picos(),
@@ -1220,6 +1229,7 @@ pub struct EventEngine {
     profile: StageProfile,
     now: SimTime,
     events: u64,
+    epochs: u64,
 }
 
 impl EventEngine {
@@ -1358,6 +1368,7 @@ impl EventEngine {
             profile: StageProfile::default(),
             now: SimTime::ZERO,
             events: 0,
+            epochs: 0,
         }
     }
 
@@ -1381,6 +1392,15 @@ impl EventEngine {
     /// Events handled across all runs.
     pub fn events_handled(&self) -> u64 {
         self.events
+    }
+
+    /// Epochs the threaded executive ran, summed over runs. Each epoch's
+    /// horizon depends only on the global event minima, so the count is
+    /// the same for every thread count of two or more. It is 0 at one
+    /// thread, whose `run_sequential` has no epochs. Not to be confused
+    /// with [`StageProfile::epochs`], which counts shard visits.
+    pub fn epochs(&self) -> u64 {
+        self.epochs
     }
 
     /// Every DRAM commit delivered so far: per run, shards' commits in
@@ -1548,12 +1568,13 @@ impl EventEngine {
                 next: u64::MAX,
             })
             .collect();
-        let clean = match (threads, clock.is_some()) {
-            (1, false) => run_sequential::<false>(&mut runs, lookahead),
-            (1, true) => run_sequential::<true>(&mut runs, lookahead),
+        let (clean, epochs) = match (threads, clock.is_some()) {
+            (1, false) => (run_sequential::<false>(&mut runs, lookahead), 0),
+            (1, true) => (run_sequential::<true>(&mut runs, lookahead), 0),
             (_, false) => run_threaded::<false>(&mut runs, lookahead, threads),
             (_, true) => run_threaded::<true>(&mut runs, lookahead, threads),
         };
+        self.epochs += epochs;
         drop(runs);
         assert!(
             clean,

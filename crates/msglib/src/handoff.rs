@@ -30,8 +30,15 @@
 //! no syscall, no waiting. A contended `try_lock` would mean the
 //! protocol is broken, and the ring treats it as a hard bug (panics)
 //! rather than spinning.
+//!
+//! [`EpochBarrier`] is the executive's other primitive: the barrier the
+//! workers meet at twice per epoch. Like the paper's API-managed software
+//! barriers (§IV.A, and [`barrier`](crate::barrier)) it polls memory
+//! rather than parking in the kernel, so a waiter that is released a
+//! few microseconds later has no wake-up to pay for.
 
 use crate::sync::{AtomicU64, Ordering};
+use crate::window::Backoff;
 use std::sync::Mutex;
 
 /// Bounded SPSC ring of batches. `T` is the event type; each slot holds
@@ -162,6 +169,59 @@ impl<T> BatchRing<T> {
 impl<T> Default for BatchRing<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A reusable barrier for `n` threads built only from atomics: an arrival
+/// count and a monotonic generation. The last thread to arrive resets the
+/// count and then publishes `generation + 1` with Release ordering; every
+/// other thread spins on the generation with [`Backoff`] (255 pause
+/// instructions, then `yield_now` per poll), so an oversubscribed host
+/// still runs the thread everyone waits for.
+///
+/// Everything a thread wrote before [`wait`](Self::wait) is visible to
+/// every thread after it: each arrival is a release RMW on the count, the
+/// last arrival acquires them all, and its Release store of the
+/// generation is what the waiters Acquire.
+///
+/// There is no poisoning: a thread that never arrives leaves the others
+/// polling forever.
+#[derive(Debug)]
+pub struct EpochBarrier {
+    n: u64,
+    /// Threads arrived in the current generation.
+    arrived: AtomicU64,
+    /// Completed generations; only the last arriver advances it.
+    generation: AtomicU64,
+}
+
+impl EpochBarrier {
+    /// A barrier for `n` threads. With `n <= 1` every wait returns at once.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        EpochBarrier {
+            n: n as u64,
+            arrived: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    /// Block until all `n` threads have called `wait` for this generation.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    pub fn wait(&self) {
+        // Read before arriving: this generation cannot end without us.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 >= self.n {
+            // Reset before publishing: a waiter released by the store
+            // below may arrive at the next generation at once.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation + 1, Ordering::Release);
+            return;
+        }
+        let mut backoff = Backoff::new();
+        while self.generation.load(Ordering::Acquire) == generation {
+            backoff.snooze();
+        }
     }
 }
 
@@ -328,6 +388,48 @@ mod tests {
         assert!(published > 2_000, "schedule exercised the ring");
         assert!(full_refusals > 0, "schedule hit the full-ring wrap case");
         assert_eq!(ring.pending(), 0);
+    }
+
+    /// Each of three threads (not a power of two) stores the epoch into
+    /// its own slot before every wait and, after it, finds every slot at
+    /// that epoch or later: the guarantee the engine's fold over the
+    /// published minima relies on.
+    #[test]
+    fn epoch_barrier_publishes_every_slot_each_epoch() {
+        use std::sync::Arc;
+        const THREADS: usize = 3;
+        const EPOCHS: u64 = 10_000;
+        let barrier = Arc::new(EpochBarrier::new(THREADS));
+        let slots: Arc<Vec<AtomicU64>> =
+            Arc::new((0..THREADS).map(|_| AtomicU64::new(0)).collect());
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (barrier, slots) = (Arc::clone(&barrier), Arc::clone(&slots));
+                std::thread::spawn(move || {
+                    for epoch in 1..=EPOCHS {
+                        slots[t].store(epoch, Ordering::Relaxed);
+                        barrier.wait();
+                        for (s, slot) in slots.iter().enumerate() {
+                            let seen = slot.load(Ordering::Relaxed);
+                            assert!(seen >= epoch, "epoch {epoch}: slot {s} reads {seen}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(barrier.generation.load(Ordering::Relaxed), EPOCHS);
+    }
+
+    #[test]
+    fn epoch_barrier_of_one_returns_at_once() {
+        let barrier = EpochBarrier::new(1);
+        for _ in 0..3 {
+            barrier.wait();
+        }
+        assert_eq!(barrier.generation.load(Ordering::Relaxed), 3);
     }
 
     #[test]

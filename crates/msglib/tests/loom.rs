@@ -15,14 +15,18 @@
 //!   across real threads;
 //! * the framed channel halves (PR 1's Sender/Receiver split) preserve
 //!   message boundaries;
-//! * `Flag` and the dissemination `Barrier` synchronise two ranks.
+//! * `Flag` and the dissemination `Barrier` synchronise two ranks;
+//! * the event engine's `EpochBarrier` publishes each thread's
+//!   pre-barrier store to the other, epoch after epoch.
 
 #![cfg(loom)]
 
+use loom::sync::atomic::{AtomicU64, Ordering};
+use loom::sync::Arc;
 use tcc_msglib::channel::{channel, CHANNEL_BYTES, CREDIT_BYTES};
 use tcc_msglib::ring::{RingReceiver, RingSender, SendMode, RING_BYTES};
 use tcc_msglib::shm::ShmMemory;
-use tcc_msglib::{Barrier, Flag, LocalWindow, RemoteWindow, SYNC_BYTES};
+use tcc_msglib::{Barrier, EpochBarrier, Flag, LocalWindow, RemoteWindow, SYNC_BYTES};
 
 /// Payload stored before a flag must be visible after observing the flag:
 /// the store_u64 release / load_u64 acquire pair is the ring protocol's
@@ -117,6 +121,31 @@ fn barrier_two_ranks_synchronise() {
         });
         b0.wait();
         assert_eq!(data_r.load_u64(0), 42, "pre-barrier store visible");
+        t.join().unwrap();
+    });
+}
+
+/// Two threads, three epochs through one `EpochBarrier`: each stores the
+/// epoch into its own slot before waiting and, after the wait, reads the
+/// other's slot at that epoch or later. The count reset and generation
+/// bump between epochs must not let either thread run ahead.
+#[test]
+fn epoch_barrier_two_threads_three_epochs() {
+    loom::model(|| {
+        let barrier = Arc::new(EpochBarrier::new(2));
+        let slots = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let run = |me: usize, barrier: Arc<EpochBarrier>, slots: Arc<[AtomicU64; 2]>| {
+            for epoch in 1..=3 {
+                slots[me].store(epoch, Ordering::Relaxed);
+                barrier.wait();
+                assert!(slots[1 - me].load(Ordering::Relaxed) >= epoch);
+            }
+        };
+        let t = {
+            let (barrier, slots) = (Arc::clone(&barrier), Arc::clone(&slots));
+            loom::thread::spawn(move || run(1, barrier, slots))
+        };
+        run(0, barrier, slots);
         t.join().unwrap();
     });
 }

@@ -223,8 +223,9 @@ fn parallel_path_reproduces_headline_bandwidth() {
 /// driving [`EventEngine`] directly the way `SimCluster::run_workload`
 /// does: events handled, credit NOPs sent, credit stalls, DRAM commits,
 /// packets sent on the wire, and the northbridges' routed requests and
-/// forwarded packets over the run; plus the engine's events by kind.
-fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts) {
+/// forwarded packets over the run; plus the engine's events by kind and
+/// its epoch count.
+fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts, u64) {
     let mut platform = TcclusterBuilder::new()
         .topology(ClusterTopology::Mesh { x: 4, y: 4 })
         .processors_per_supernode(2)
@@ -266,13 +267,17 @@ fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts) {
         nb1.0 - nb0.0,
         nb1.1 - nb0.1,
     ];
-    (counters, engine.event_counts())
+    (counters, engine.event_counts(), engine.epochs())
 }
 
-/// The simulated work of the smoke input, pinned exactly at t1, t2 and
-/// t4. These counts depend on no host clock, so a change that adds or
+/// The simulated work of the smoke input, pinned exactly at t1 to t4.
+/// These counts depend on no host clock, so a change that adds or
 /// removes simulated work (an extra event per hop, a lost NOP, a second
 /// route lookup) fails here however fast or slow the host is.
+///
+/// The epoch count is pinned too: each horizon depends only on the
+/// global event minima, so every thread count of two or more runs the
+/// same epochs, and the sequential executive at t1 runs none.
 ///
 /// The events by kind were taken on the engine that still queued every
 /// event in one heap per shard; they show the per-wire lanes changed no
@@ -281,6 +286,7 @@ fn smoke_work_counters(threads: usize) -> ([u64; 7], EventCounts) {
 #[test]
 fn smoke_work_counters_are_pinned() {
     const PINNED: [u64; 7] = [116_286, 38_656, 59_268, 7_680, 77_312, 38_896, 31_216];
+    const EPOCHS: u64 = 446;
     const BY_KIND: EventCounts = EventCounts {
         data_arrivals: 38_656,
         nop_arrivals: 38_656,
@@ -289,8 +295,8 @@ fn smoke_work_counters_are_pinned() {
         injects: 0,
         cross_shard_sends: 40_960,
     };
-    for threads in [1usize, 2, 4] {
-        let (counters, by_kind) = smoke_work_counters(threads);
+    for threads in [1usize, 2, 3, 4] {
+        let (counters, by_kind, epochs) = smoke_work_counters(threads);
         assert_eq!(
             counters, PINNED,
             "{threads} threads: [events, nops, stalls, commits, wire packets, \
@@ -300,5 +306,7 @@ fn smoke_work_counters_are_pinned() {
         let c = by_kind;
         let kinds = c.data_arrivals + c.nop_arrivals + c.drains + c.pumps + c.injects;
         assert_eq!(kinds, PINNED[0], "{threads} threads: kinds sum to events");
+        let want = if threads == 1 { 0 } else { EPOCHS };
+        assert_eq!(epochs, want, "{threads} threads: epochs");
     }
 }
