@@ -35,16 +35,13 @@
 //! tcc_alloc_ok)]` marks an amortized/cold allocation the reachability
 //! pass may stop at (kept honest by `alloc.stale-ok`), `#[cfg_attr(lint,
 //! tcc_panic_ok)]` a reviewed deliberate protocol panic (kept honest by
-//! `panic.stale-ok`), `#[cfg_attr(lint, tcc_phase_ok)]` a reviewed
-//! function that needs no barrier order (kept honest by
-//! `phase.stale-ok`),
-//! `#[cfg_attr(lint, tcc_transfer_ok)]` a reviewed ownership handoff
-//! the resource pass may exit holding (kept honest by
+//! `panic.stale-ok`), `#[cfg_attr(lint, tcc_transfer_ok)]` a reviewed
+//! ownership handoff the resource pass may exit holding (kept honest by
 //! `resource.stale-ok`), and a `// tcc-analyze: allow(<code>)` comment
 //! on (or immediately above) a flagged line suppresses that one
 //! diagnostic.
 //! Every run produces a [`report::Report`], which `cargo xtask lint`
-//! serialises to `LINT_report.json` (schema 3: per-pass counts,
+//! serialises to `LINT_report.json` (schema 4: per-pass counts,
 //! baselines and optional per-pass timings, machine-diffable; the
 //! diagnostics list is sorted and deduplicated, so serialisation is
 //! byte-stable across runs). See `docs/static-analysis.md`.
@@ -113,7 +110,8 @@ pub const NO_ALLOC_BASELINE: usize = 33;
 /// were annotated; 29 after the ladder, calendar and auto backends (nine
 /// annotated functions) and the `on_arrive` shim were deleted; 33 after
 /// the same four lane push/pop functions as [`NO_ALLOC_BASELINE`]; still
-/// 33 after the same `pop_before` → `act_on_delivery` swap).
+/// 33 after the same `pop_before` → `act_on_delivery` swap; 34 once the
+/// sequential executive, which carried one, was deleted).
 /// Guarded like [`NO_ALLOC_BASELINE`]: the count may only grow.
 pub const NO_PANIC_BASELINE: usize = 33;
 
@@ -374,7 +372,6 @@ pub fn run_all_timed(ws: &Workspace, clock: Option<PassClock>) -> Report {
         alloc_ok_annotations: marker_count("tcc_alloc_ok"),
         no_panic_annotations: marker_count("tcc_no_panic"),
         panic_ok_annotations: marker_count("tcc_panic_ok"),
-        phase_ok_annotations: marker_count("tcc_phase_ok"),
         linear_annotations: marker_count("tcc_linear"),
         transfer_ok_annotations: marker_count("tcc_transfer_ok"),
         acquire_annotations: marker_count("tcc_acquires"),

@@ -36,12 +36,6 @@
 //!    mutating method call whose receiver chain starts at `shards[_]`
 //!    inside a phase-ranked function — is `phase.shard-escape`.
 //!
-//! `#[cfg_attr(lint, tcc_phase_ok)]` marks a reviewed function whose
-//! ranked calls need no barrier order, such as the sequential executive,
-//! which runs every shard from one thread with no mailboxes. Its order
-//! findings are dropped; if it has none, the marker is stale
-//! (`phase.stale-ok`).
-//!
 //! Production scope is `crates/core/src/engine.rs` (the only place the
 //! epoch machine lives); fixture workspaces are scanned whole. Summaries
 //! are still computed workspace-wide so helpers called from the engine
@@ -168,8 +162,6 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
             graph: &graph,
             events: &events,
         };
-        let reviewed = f.has_marker("tcc_phase_ok");
-        let found = out.len();
         for (b, entry) in dataflow::solve(&graph, &interval).into_iter().enumerate() {
             let Some(mut done) = entry else { continue };
             interval.walk(b, &mut done, |ev, lo, (hi, hi_tok)| {
@@ -205,22 +197,6 @@ pub fn run_with_stats(ws: &Workspace, cg: &CallGraph) -> (Vec<Diagnostic>, usize
                     ],
                 });
             });
-        }
-        if reviewed {
-            let silenced = out.drain(found..).count();
-            if silenced == 0 {
-                out.push(Diagnostic {
-                    pass: "epoch-phase",
-                    code: "phase.stale-ok".to_string(),
-                    file: path.clone(),
-                    line: f.line,
-                    function: f.display_name(),
-                    message: "tcc_phase_ok on a function whose ranked calls are already \
-                              in barrier order (stale escape hatch)"
-                        .to_string(),
-                    notes: vec!["remove the marker and its justification comment".to_string()],
-                });
-            }
         }
 
         // 4. Shard-escape: phase-ranked code mutating another shard's
@@ -576,16 +552,15 @@ mod tests {
         assert_eq!(d[0].code, "phase.producer-after-barrier");
     }
 
-    /// The sequential executive's shape: run one shard's epoch (which
-    /// stages sends), hand the staged sends to their peers, then refresh
-    /// the peers' minima. Written with hand-off loops or as plain blocks,
-    /// the minima follow the staging with no barrier between them.
+    /// A barrier-free driver: run one shard's epoch (which stages sends),
+    /// hand the staged sends straight to their peers, then refresh the
+    /// peers' minima. Written with hand-off loops or as plain blocks, the
+    /// minima follow the staging with no barrier between them.
     const HAND_OFF_LOOPS: &str = "
         impl Exec {
             fn run_epoch(&mut self) {
                 self.outbox.push(1);
             }
-            MARKER
             fn drive(&mut self) {
                 loop {
                     self.run_epoch();
@@ -607,31 +582,11 @@ mod tests {
             .replace("for m in self.outbox.drain(..)", "let m = 0;")
             .replace("loop {", "{");
         for src in [HAND_OFF_LOOPS.to_string(), blocks] {
-            let d = diags(&src.replace("MARKER", ""));
+            let d = diags(&src);
             assert_eq!(d.len(), 1, "{src}: {d:?}");
             assert_eq!(d[0].code, "phase.producer-after-barrier");
             assert_eq!(d[0].function, "Exec::drive");
         }
-    }
-
-    #[test]
-    fn phase_ok_silences_order_findings_and_goes_stale_without_them() {
-        let marked = HAND_OFF_LOOPS.replace("MARKER", "#[cfg_attr(lint, tcc_phase_ok)]");
-        let d = diags(&marked);
-        assert!(d.is_empty(), "{d:?}");
-        let d = diags(
-            "
-            impl Worker {
-                #[cfg_attr(lint, tcc_phase_ok)]
-                fn fine(&mut self) {
-                    self.ring.take(&mut self.scratch);
-                    self.ring.publish(&mut self.outbox);
-                }
-            }
-            ",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "phase.stale-ok");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structured diagnostics and the `LINT_report.json` emitter.
 //!
-//! The JSON schema is versioned (`"schema": 3`): tools downstream (CI
+//! The JSON schema is versioned (`"schema": 4`): tools downstream (CI
 //! artifact consumers, the xtask gate) key off `clean`, `diagnostics[]`,
 //! the per-pass counts and the annotation counters. Schema 2 added the
 //! two interprocedural passes (`panic-freedom`, `epoch-phase`), the
@@ -13,9 +13,11 @@
 //! (`cargo xtask lint --timings`), JSON `null` otherwise so the
 //! committed artifact stays byte-stable. `lock_sites` (the lock-order
 //! pass's in-scope `.lock()`/`.try_lock()` count, a guard metric like
-//! `phase_ranked_functions`) was added within schema 3. The schema-1
-//! flat counter keys are retained so old diffs stay readable, and fields
-//! are only ever *added* within a schema version.
+//! `phase_ranked_functions`) was added within schema 3. Schema 4 drops
+//! the annotation counter of the epoch-phase escape hatch, which was
+//! retired with its last carrier. The schema-1 flat counter keys are
+//! retained so old diffs stay readable, and fields are only ever *added*
+//! within a schema version; removing one bumps it.
 
 use std::fmt::Write as _;
 
@@ -80,9 +82,6 @@ pub struct Report {
     /// Count of `tcc_panic_ok` escape hatches seen (each must cover a
     /// real panic site — `panic.stale-ok` enforces it).
     pub panic_ok_annotations: usize,
-    /// Count of `tcc_phase_ok` escape hatches seen (each must silence a
-    /// real order finding — `phase.stale-ok` enforces it).
-    pub phase_ok_annotations: usize,
     /// In-scope functions the epoch-phase pass assigned a rank to; the
     /// xtask guard fails if this collapses (the pass went blind).
     pub phase_ranked_functions: usize,
@@ -131,7 +130,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str("  \"schema\": 3,\n");
+        s.push_str("  \"schema\": 4,\n");
         s.push_str("  \"tool\": \"tcc-analyze\",\n");
         s.push_str("  \"passes\": [");
         for (i, p) in PASSES.iter().enumerate() {
@@ -159,7 +158,6 @@ impl Report {
         let _ = writeln!(s, "    \"tcc_alloc_ok\": {},", self.alloc_ok_annotations);
         let _ = writeln!(s, "    \"tcc_no_panic\": {},", self.no_panic_annotations);
         let _ = writeln!(s, "    \"tcc_panic_ok\": {},", self.panic_ok_annotations);
-        let _ = writeln!(s, "    \"tcc_phase_ok\": {},", self.phase_ok_annotations);
         let _ = writeln!(s, "    \"tcc_linear\": {},", self.linear_annotations);
         let _ = writeln!(
             s,
@@ -291,7 +289,7 @@ mod tests {
             notes: vec!["use saturating_add".into()],
         });
         let j = r.to_json();
-        assert!(j.contains("\"schema\": 3"));
+        assert!(j.contains("\"schema\": 4"));
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"no_alloc_annotations\": 21"));
         assert!(j.contains("\"tcc_no_panic\": 7"));

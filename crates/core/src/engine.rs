@@ -38,13 +38,13 @@
 //!
 //! Determinism: every event carries an [`EventKey`] `(time, shard, seq)`
 //! stamped by the shard that *scheduled* it, and each shard pops its
-//! queue in total key order. With `threads = 1` the engine runs
-//! `run_sequential`, a merged single-driver loop with no epochs or
-//! barriers, instead of the epoch algorithm. Results still match bit for
-//! bit for any thread count: both executives handle each shard's events
-//! in key order, and no cross-shard event lands below the horizon either
-//! one runs to, so the interleaving across shards is unobservable
-//! (docs/engine.md, "The exec path"). DRAM commits are concatenated in
+//! queue in total key order. Every thread count runs the same epoch
+//! loop; `threads = 1` is one worker on the caller's thread. Results
+//! match bit for bit for any thread count: each shard handles its events
+//! in key order, and no cross-shard event lands below the horizon, whose
+//! sequence depends only on the global event minima, so the partition
+//! of shards over workers is unobservable (docs/engine.md, "Epochs" and
+//! "Determinism"). DRAM commits are concatenated in
 //! shard-index order after each run, and monitor callbacks are recorded
 //! per shard and replayed in merged global key order (see
 //! `replay_monitors`), which is likewise thread-count-invariant.
@@ -101,10 +101,8 @@ pub enum EngineKind {
 pub struct EngineOptions {
     /// Worker threads for the sharded conservative-PDES executive. One
     /// shard per supernode; threads beyond the shard count are clamped.
-    /// `1` runs `run_sequential`, the merged single-driver loop (no
-    /// spawn, no epochs, no barriers), and is the zero-allocation
-    /// reference path; its results equal the epoch algorithm's bit for
-    /// bit because each shard still handles its events in key order.
+    /// `1` runs the one epoch worker on the caller's thread (no spawn);
+    /// every count gives the same results bit for bit.
     pub threads: usize,
     /// Monotonic nanosecond clock for per-stage attribution
     /// ([`EventEngine::stage_profile`]). `None` (the default) runs the
@@ -457,7 +455,7 @@ impl Shard {
 }
 
 /// One epoch batch in flight from one shard to another. The cross-shard
-/// transport of the threaded executive is a matrix of these:
+/// transport of the epoch executive is a matrix of these:
 /// `rings[src][dst]` exists iff some wire crosses from shard `src` to
 /// shard `dst`, and carries at most one batch per epoch (published before
 /// the epoch barrier, taken after it, with the barrier providing the
@@ -483,7 +481,7 @@ struct ShardRun<'a> {
     /// Injected nanosecond clock for stage attribution, `None` on
     /// unprofiled (hot) runs.
     clock: Option<fn() -> u64>,
-    /// The threaded executive's view of the shard's next event time
+    /// The epoch executive's view of the shard's next event time
     /// (picoseconds, `u64::MAX` when idle), taken in the epoch's minima
     /// phase.
     next: u64,
@@ -523,9 +521,8 @@ impl ShardRun<'_> {
     /// (applied at the next epoch barrier — sound because the arrival is
     /// at least one lookahead past the current horizon's base). A
     /// cross-shard send is a plain push onto this shard's private staging
-    /// buffer — no lock, no atomic. The threaded executive publishes the
-    /// whole buffer once at the epoch barrier (`publish_outboxes`); the
-    /// sequential one moves it straight into the peer queue.
+    /// buffer — no lock, no atomic. The worker publishes the whole buffer
+    /// once at the epoch barrier (`publish_outboxes`).
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn send_arrive(&mut self, at: SimTime, p: usize, packet: Packet) {
         let (dst, port) = {
@@ -577,6 +574,10 @@ impl ShardRun<'_> {
     /// take each in-peer's published batch, recycling the shard's scratch
     /// buffer so the steady state moves events without allocating.
     /// Profiled runs attribute the time to the mailbox stage.
+    ///
+    /// Debug builds check the causality the horizon argument rests on:
+    /// no mailed arrival is earlier than the receiver's `now`, the time of
+    /// the last event it handled.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch))]
     fn drain_mail<const PROF: bool>(&mut self) {
@@ -590,6 +591,13 @@ impl ShardRun<'_> {
             };
             while ring.take(&mut scratch) {
                 for m in scratch.drain(..) {
+                    debug_assert!(
+                        m.at >= self.shard.now,
+                        "shard {src} -> {me}: mailed arrival at {:?} is before the \
+                         receiver's now {:?}",
+                        m.at,
+                        self.shard.now
+                    );
                     self.shard.push_arrival(m);
                 }
             }
@@ -1038,103 +1046,6 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
     }
 }
 
-/// Disjoint mutable borrows of two shard runs (`a != b`).
-fn pair_mut<'r, 'a>(
-    runs: &'r mut [ShardRun<'a>],
-    a: usize,
-    b: usize,
-) -> (&'r mut ShardRun<'a>, &'r mut ShardRun<'a>) {
-    if a < b {
-        let (l, r) = runs.split_at_mut(b);
-        (&mut l[a], &mut r[0])
-    } else {
-        let (l, r) = runs.split_at_mut(a);
-        (&mut r[0], &mut l[b])
-    }
-}
-
-/// The sequential executive: a merged single-driver DES, bit-identical
-/// to the epoch algorithm but with none of its scaffolding. Instead of
-/// sweeping every shard each round, it keeps the per-shard queue minima
-/// in a flat array, picks the globally-earliest shard, and batches that
-/// one shard up to `second_min + lookahead` — the epoch-horizon
-/// argument with the runner-up standing in for the global minimum:
-/// nothing any other shard still has to process can mail the winner an
-/// event below `second_min + lookahead`, so everything strictly below
-/// that is safe to run now. Results are bit-identical to the epoch
-/// executive because both process each shard's events in key order and
-/// cross-shard influence is impossible below the horizon; the
-/// interleaving *across* shards differs, but no event can observe it.
-///
-/// Cross-shard sends skip the mailbox machinery entirely: they stage in
-/// the per-destination outboxes and the executive appends each batch
-/// straight onto the peer's in-wire lanes — no rings, no publish/take
-/// handshake.
-///
-/// `tcc_phase_ok`: one thread runs every shard and there is no barrier,
-/// so each pass of the loop stages sends (`run_epoch`) and then reads
-/// minima (`peek_time`) in what the epoch-phase pass sees as one
-/// interval. The order argument above replaces the barrier protocol.
-#[cfg_attr(lint, tcc_no_panic, tcc_phase_ok)]
-fn run_sequential<const PROF: bool>(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
-    let n = runs.len();
-    let mut mins = vec![u64::MAX; n];
-    for (i, run) in runs.iter_mut().enumerate() {
-        // Boot-time mail only: nothing touches a ring after this point.
-        run.drain_mail::<PROF>();
-        mins[i] = run.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
-    }
-    let la = lookahead.picos();
-    let mut total = 0u64;
-    loop {
-        // One pass for the two smallest minima: the winner runs, the
-        // runner-up bounds how far it may run.
-        let (mut best, mut bi) = (u64::MAX, 0usize);
-        let mut second = u64::MAX;
-        for (i, &m) in mins.iter().enumerate() {
-            if m < best {
-                second = best;
-                best = m;
-                bi = i;
-            } else if m < second {
-                second = m;
-            }
-        }
-        if best == u64::MAX {
-            return true;
-        }
-        if total > EVENT_BUDGET {
-            return false;
-        }
-        // When the winner is the only shard with work, fall back to the
-        // epoch horizon so the event budget keeps its old granularity.
-        let base = if second == u64::MAX { best } else { second };
-        total += runs[bi].run_epoch::<PROF>(SimTime(base.saturating_add(la)));
-        // Hand staged cross-shard sends straight to their destination
-        // queues, then refresh the touched minima (peeks are O(1)).
-        let t0 = runs[bi].tick::<PROF>();
-        for k in 0..runs[bi].shard.out_peers.len() {
-            let dst = runs[bi].shard.out_peers[k] as usize;
-            if runs[bi].shard.outbox[dst].is_empty() {
-                continue;
-            }
-            let (src, peer) = pair_mut(runs, bi, dst);
-            for m in src.shard.outbox[dst].drain(..) {
-                peer.shard.push_arrival(m);
-            }
-            mins[dst] = peer.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
-        }
-        if PROF {
-            runs[bi].shard.profile.mailbox_ns += runs[bi].tick::<PROF>().saturating_sub(t0);
-        }
-        mins[bi] = runs[bi]
-            .shard
-            .queue
-            .peek_time()
-            .map_or(u64::MAX, |t| t.picos());
-    }
-}
-
 /// Split the shard runs into `threads` contiguous groups and drive them
 /// with scoped workers (worker 0 runs on the caller's thread). Returns
 /// `true` on quiescence, with the number of epochs run.
@@ -1394,11 +1305,10 @@ impl EventEngine {
         self.events
     }
 
-    /// Epochs the threaded executive ran, summed over runs. Each epoch's
-    /// horizon depends only on the global event minima, so the count is
-    /// the same for every thread count of two or more. It is 0 at one
-    /// thread, whose `run_sequential` has no epochs. Not to be confused
-    /// with [`StageProfile::epochs`], which counts shard visits.
+    /// Epochs the executive ran, summed over runs. Each epoch's horizon
+    /// depends only on the global event minima, so the count is the same
+    /// for every thread count. Not to be confused with
+    /// [`StageProfile::epochs`], which counts shard visits.
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
@@ -1541,7 +1451,7 @@ impl EventEngine {
 
     /// Run the fabric until every pending packet, drain and credit return
     /// has completed, over `threads` PDES workers (clamped to the shard
-    /// count; `1` runs inline). Returns the latest commit-visible time of
+    /// count; worker 0 runs on the caller's thread). Returns the latest commit-visible time of
     /// this run (`SimTime::ZERO` if nothing landed).
     pub fn run_quiescent(&mut self, platform: &mut Platform) -> SimTime {
         let first_new = self.commits_log.len();
@@ -1568,11 +1478,10 @@ impl EventEngine {
                 next: u64::MAX,
             })
             .collect();
-        let (clean, epochs) = match (threads, clock.is_some()) {
-            (1, false) => (run_sequential::<false>(&mut runs, lookahead), 0),
-            (1, true) => (run_sequential::<true>(&mut runs, lookahead), 0),
-            (_, false) => run_threaded::<false>(&mut runs, lookahead, threads),
-            (_, true) => run_threaded::<true>(&mut runs, lookahead, threads),
+        let (clean, epochs) = if clock.is_some() {
+            run_threaded::<true>(&mut runs, lookahead, threads)
+        } else {
+            run_threaded::<false>(&mut runs, lookahead, threads)
         };
         self.epochs += epochs;
         drop(runs);
@@ -1580,9 +1489,9 @@ impl EventEngine {
             clean,
             "event fabric did not quiesce within {EVENT_BUDGET} events"
         );
-        // The executives read "no next event" as a minimum of u64::MAX,
+        // The executive reads "no next event" as a minimum of u64::MAX,
         // so an event at SimTime::MAX looks like an empty queue. Nothing
-        // may be left behind when they report quiescence.
+        // may be left behind when it reports quiescence.
         for shard in &self.shards {
             let pending = shard.queue.len();
             assert!(
@@ -2165,8 +2074,8 @@ mod tests {
         }
     }
 
-    /// An event at `SimTime::MAX` reads as an empty queue to both
-    /// executives, so it used to be stranded while the run reported
+    /// An event at `SimTime::MAX` reads as an empty queue to the
+    /// executive, so it used to be stranded while the run reported
     /// quiescence. It must fail as loudly as a run that never quiesces.
     #[test]
     #[should_panic(expected = "did not quiesce: shard 0 still holds 1 event(s) at SimTime::MAX")]
@@ -2181,11 +2090,11 @@ mod tests {
 
     /// The whole point of the conservative executive: running the two
     /// shards of a pair on two real threads must produce byte-for-byte
-    /// the commits, clock and event count of the inline path. Profiling
-    /// is not a semantic either: the profiled instantiation of each
-    /// executive gives the same results and fills every stage.
+    /// the commits, clock, event count and epoch count of one worker
+    /// running both. Profiling is not a semantic either: the profiled
+    /// instantiation gives the same results and fills every stage.
     #[test]
-    fn threaded_run_is_bit_identical_to_sequential() {
+    fn runs_are_bit_identical_across_thread_counts() {
         // A deterministic stand-in for a wall clock: every read advances.
         fn counter_clock() -> u64 {
             static NOW: AtomicU64 = AtomicU64::new(0);
@@ -2203,6 +2112,7 @@ mod tests {
                 engine.now(),
                 engine.events_handled(),
                 engine.flow_reports(),
+                engine.epochs(),
             );
             (outcome, engine.stage_profile())
         };
@@ -2216,7 +2126,7 @@ mod tests {
                 let profiled = profile_clock.is_some();
                 assert_eq!(
                     got, baseline,
-                    "{threads} threads (profiled: {profiled}) diverged from sequential"
+                    "{threads} threads (profiled: {profiled}) diverged from one unprofiled worker"
                 );
                 if profiled {
                     assert!(

@@ -360,7 +360,7 @@ mod tests {
         let ws = tcc_analyze::Workspace::load_root(&root).expect("load workspace");
         let json = tcc_analyze::run_all(&ws).to_json();
         for key in [
-            "\"schema\": 3",
+            "\"schema\": 4",
             "\"clean\"",
             "\"no_alloc_annotations\"",
             "\"annotations\"",
