@@ -122,9 +122,9 @@ pub const NO_PANIC_BASELINE: usize = 33;
 pub const PHASE_RANKED_FLOOR: usize = 8;
 
 /// The lock-order pass must keep seeing at least this many in-scope
-/// lock sites (the `BatchRing` slot locks). Zero means the pass's scope
-/// no longer covers the code that takes locks, so its clean verdict is
-/// vacuous.
+/// lock sites (the `try_lock`s of the `BatchRing` slot). Zero means the
+/// pass's scope no longer covers the code that takes locks, so its clean
+/// verdict is vacuous.
 pub const LOCK_SITES_FLOOR: usize = 1;
 
 /// The linear-resource pass must keep walking at least this many

@@ -1,7 +1,7 @@
 //! Pass 3 — lock-order / deadlock detection.
 //!
 //! The sharded PDES engine hands cross-shard events over through
-//! `BatchRing`s, whose slots are `Mutex`-guarded batches; an earlier
+//! `BatchRing`s, each one `Mutex`-guarded batch slot; an earlier
 //! coherent crossbar deadlocked ≥4×4 meshes precisely because a sender
 //! held its local port lock while acquiring the peer's. This pass makes
 //! that class of bug a lint failure instead of a hung simulation:

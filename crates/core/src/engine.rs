@@ -281,6 +281,9 @@ pub struct PortState {
     /// table (which is also its in-wire lane there).
     peer_shard: u32,
     peer_port: usize,
+    /// Index of the shard's outbox bound for `peer_shard` when the wire
+    /// crosses shards; `None` when both ends share this shard.
+    outbox: Option<u32>,
     coherent: bool,
     /// Input port each queued (Posted, data-bearing) packet came in on;
     /// `None` for locally injected packets. Exactly parallel to the tx
@@ -415,16 +418,17 @@ struct Shard {
     /// Double-buffer for mailbox drains; capacity ping-pongs with the
     /// ring batches so the steady state allocates nothing.
     inscratch: Vec<Mail>,
-    /// Ring-mailbox staging, indexed by destination shard: cross-shard
+    /// Ring-mailbox staging, one per ring in `out_peers`: cross-shard
     /// sends accumulate here during an epoch and publish in one batch at
-    /// the barrier. Only `out_peers` entries are ever non-empty.
+    /// the barrier.
     outbox: Vec<Vec<Mail>>,
-    /// Destination shards this shard has cut wires *to*, ascending.
+    /// The rings this shard publishes into, one per shard its cut wires
+    /// lead to, ascending by that shard.
     out_peers: Vec<u32>,
-    /// Source shards with cut wires *into* this shard, ascending — the
-    /// drain order. The order is cosmetic: each in-wire lane is fed by
-    /// exactly one source shard, whose batch holds its sends in `seq`
-    /// order, so every lane still receives its entries in key order.
+    /// The rings into this shard, ascending by source shard — the drain
+    /// order. The order is cosmetic: each in-wire lane is fed by exactly
+    /// one source shard, whose batch holds its sends in `seq` order, so
+    /// every lane still receives its entries in key order.
     in_peers: Vec<u32>,
     /// Per-stage attribution of this run (profiled runs only).
     profile: StageProfile,
@@ -455,11 +459,11 @@ impl Shard {
 }
 
 /// One epoch batch in flight from one shard to another. The cross-shard
-/// transport of the epoch executive is a matrix of these:
-/// `rings[src][dst]` exists iff some wire crosses from shard `src` to
-/// shard `dst`, and carries at most one batch per epoch (published before
-/// the epoch barrier, taken after it, with the barrier providing the
-/// happens-before edge).
+/// transport of the epoch executive is a flat list of these, one per
+/// directed pair of shards that some wire crosses between, so it grows
+/// with the cut, not with the square of the shard count. Each carries at
+/// most one batch per epoch (published before the epoch barrier, taken
+/// after it, with the barrier providing the happens-before edge).
 type EventRing = BatchRing<Mail>;
 
 /// One shard coupled to its slice of platform nodes for the duration of
@@ -471,7 +475,7 @@ struct ShardRun<'a> {
     /// Per-node flat dispatch tables (node-local indexing, parallel to
     /// `nodes`), snapshotted at engine build.
     flat: &'a [FlatTable],
-    rings: &'a [Vec<Option<EventRing>>],
+    rings: &'a [EventRing],
     drain: Duration,
     /// Record monitor callbacks for post-run replay. Also selects the
     /// wire lane: unmonitored runs take the flat fast lane for 64 B
@@ -525,9 +529,9 @@ impl ShardRun<'_> {
     /// once at the epoch barrier (`publish_outboxes`).
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn send_arrive(&mut self, at: SimTime, p: usize, packet: Packet) {
-        let (dst, port) = {
+        let (outbox, port) = {
             let out = &self.shard.ports[p];
-            (out.peer_shard as usize, out.peer_port)
+            (out.outbox, out.peer_port)
         };
         let seq = self.next_seq();
         let m = Mail {
@@ -536,65 +540,51 @@ impl ShardRun<'_> {
             port,
             packet,
         };
-        if dst == self.shard.id as usize {
-            self.shard.push_arrival(m);
-            return;
+        match outbox {
+            None => self.shard.push_arrival(m),
+            Some(i) => self.shard.outbox[i as usize].push(m),
         }
-        self.shard.outbox[dst].push(m);
     }
 
     /// Publish every non-empty staging buffer into its pair ring — once
     /// per epoch, before the B0 barrier (run_worker). The epoch protocol
     /// guarantees at most one batch in flight per pair, so a full ring is
-    /// a protocol bug. Profiled runs attribute the time to the mailbox
-    /// stage.
+    /// a protocol bug.
     // tcc_transfer_ok: published batches stay in flight in the pair
     // rings until the receiver shard's drain_mail takes them next epoch.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch), tcc_transfer_ok)]
-    fn publish_outboxes<const PROF: bool>(&mut self) {
-        let t0 = self.tick::<PROF>();
-        let src = self.shard.id as usize;
-        for i in 0..self.shard.out_peers.len() {
-            let dst = self.shard.out_peers[i] as usize;
-            let Some(ring) = self.rings[src][dst].as_ref() else {
-                protocol_violation!("shard {src} -> {dst}: out_peer entry without a ring");
-            };
+    fn publish_outboxes(&mut self) {
+        let src = self.shard.id;
+        for (staging, &r) in self.shard.outbox.iter_mut().zip(&self.shard.out_peers) {
             assert!(
-                ring.publish(&mut self.shard.outbox[dst]),
-                "shard {src} -> {dst}: batch ring full (epoch protocol violated)"
+                self.rings[r as usize].publish(staging),
+                "shard {src}: batch ring {r} full (epoch protocol violated)"
             );
-        }
-        if PROF {
-            self.shard.profile.mailbox_ns += self.tick::<PROF>().saturating_sub(t0);
         }
     }
 
     /// Apply every event other shards mailed us since the last barrier:
-    /// take each in-peer's published batch, recycling the shard's scratch
+    /// take each in-ring's published batch, recycling the shard's scratch
     /// buffer so the steady state moves events without allocating.
-    /// Profiled runs attribute the time to the mailbox stage.
     ///
     /// Debug builds check the causality the horizon argument rests on:
     /// no mailed arrival is earlier than the receiver's `now`, the time of
     /// the last event it handled.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch))]
-    fn drain_mail<const PROF: bool>(&mut self) {
-        let t0 = self.tick::<PROF>();
+    fn drain_mail(&mut self) {
         let mut scratch = std::mem::take(&mut self.shard.inscratch);
-        let me = self.shard.id as usize;
+        let me = self.shard.id;
         for i in 0..self.shard.in_peers.len() {
-            let src = self.shard.in_peers[i] as usize;
-            let Some(ring) = self.rings[src][me].as_ref() else {
-                protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
-            };
-            while ring.take(&mut scratch) {
+            let r = self.shard.in_peers[i];
+            if self.rings[r as usize].take(&mut scratch) {
                 for m in scratch.drain(..) {
                     debug_assert!(
                         m.at >= self.shard.now,
-                        "shard {src} -> {me}: mailed arrival at {:?} is before the \
+                        "shard {} -> {me}: mailed arrival at {:?} is before the \
                          receiver's now {:?}",
+                        self.shard.ports[m.port].peer_shard,
                         m.at,
                         self.shard.now
                     );
@@ -603,9 +593,6 @@ impl ShardRun<'_> {
             }
         }
         self.shard.inscratch = scratch;
-        if PROF {
-            self.shard.profile.mailbox_ns += self.tick::<PROF>().saturating_sub(t0);
-        }
     }
 
     /// Handle one popped lane or heap entry; an arrival's lane index is
@@ -841,7 +828,8 @@ impl ShardRun<'_> {
                     protocol_violation!("n{node} l{}: bad credit return: {e}", link.0);
                 }
                 self.pump_port(now, p);
-                for k in 0..self.shard.ports[p].flows.len() {
+                let mut k = 0;
+                while k < self.shard.ports[p].flows.len() {
                     let port = &self.shard.ports[p];
                     // Once the transmit queue is full again the freed
                     // credits are spoken for: no later flow can enqueue
@@ -854,17 +842,15 @@ impl ShardRun<'_> {
                         break;
                     }
                     let fi = port.flows[k];
-                    // An exhausted flow has nothing left to enqueue and
-                    // never reschedules, so its wake is a no-op: the
-                    // arm's own pump above already attempted whatever
-                    // the freed credits admit. Skipping it keeps the
-                    // drained tail of a port's flow list (every finished
-                    // flow stays registered) from turning each credit
-                    // NOP into an O(flows) scan of dead flows.
+                    // An exhausted flow never enqueues or reschedules
+                    // again, so its wake would be a no-op forever: drop
+                    // it from the list, keeping the live flows in order.
                     if self.shard.flows[fi].remaining == 0 {
+                        self.shard.ports[p].flows.remove(k);
                         continue;
                     }
                     self.pump_flow(now, fi);
+                    k += 1;
                 }
                 if PROF {
                     let end = self.tick::<PROF>();
@@ -999,15 +985,24 @@ struct Coord {
 /// never arrives there again, so the others spin and yield at the
 /// barrier forever: a deadlock, which is why this function must not
 /// panic.
+///
+/// Profiled runs clock the drain and the publish pass once each per
+/// epoch and charge the time to the worker's first shard, so
+/// `mailbox_ns` sums the workers' wall time in the mailbox phases.
 #[cfg_attr(lint, tcc_no_panic)]
 fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coord) -> (bool, u64) {
+    let clock = runs.first().and_then(|r| r.clock);
+    let tick = || if PROF { clock.map_or(0, |c| c()) } else { 0 };
+    let mut mailbox_ns = 0u64;
     let mut epochs = 0u64;
-    loop {
+    let verdict = loop {
         // Each phase is its own pass over the shards, so the worker's
         // calls follow the protocol order across shards too.
+        let t0 = tick();
         for run in runs.iter_mut() {
-            run.drain_mail::<PROF>();
+            run.drain_mail();
         }
+        mailbox_ns += tick().saturating_sub(t0);
         let mut min = u64::MAX;
         for run in runs.iter_mut() {
             run.next = run.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
@@ -1022,10 +1017,10 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
             .map(|m| m.load(Ordering::Acquire))
             .fold(u64::MAX, u64::min);
         if gmin == u64::MAX {
-            return (true, epochs);
+            break true;
         }
         if total > EVENT_BUDGET {
-            return (false, epochs);
+            break false;
         }
         epochs += 1;
         let horizon = gmin.saturating_add(coord.lookahead);
@@ -1038,12 +1033,18 @@ fn run_worker<const PROF: bool>(runs: &mut [ShardRun<'_>], w: usize, coord: &Coo
         for run in runs.iter_mut().filter(|r| r.next < horizon) {
             delta += run.run_epoch::<PROF>(SimTime(horizon));
         }
+        let t0 = tick();
         for run in runs.iter_mut().filter(|r| r.next < horizon) {
-            run.publish_outboxes::<PROF>();
+            run.publish_outboxes();
         }
+        mailbox_ns += tick().saturating_sub(t0);
         coord.events.fetch_add(delta, Ordering::Relaxed);
         coord.barrier.wait(); // B0: epoch done, all sends mailed/published.
+    };
+    if let Some(run) = runs.first_mut() {
+        run.shard.profile.mailbox_ns += mailbox_ns;
     }
+    (verdict, epochs)
 }
 
 /// Split the shard runs into `threads` contiguous groups and drive them
@@ -1117,8 +1118,9 @@ fn replay_monitors(platform: &mut Platform, shards: &mut [Shard]) {
 #[derive(Debug)]
 pub struct EventEngine {
     shards: Vec<Shard>,
-    /// Cross-shard batch rings, `rings[src][dst]` (see [`EventRing`]).
-    rings: Vec<Vec<Option<EventRing>>>,
+    /// Cross-shard batch rings, one per directed cut shard pair, indexed
+    /// by each shard's `out_peers` and `in_peers` (see [`EventRing`]).
+    rings: Vec<EventRing>,
     /// Global flow index → (shard, shard-local flow index), in
     /// registration order.
     flow_dir: Vec<(u32, u32)>,
@@ -1154,11 +1156,6 @@ impl EventEngine {
         let n = platform.nodes.len();
         let nshards = n / procs;
         let mut lookahead = Duration(u64::MAX);
-        // Which (src, dst) shard pairs have a cut wire — exactly the
-        // pairs that ever exchange cross-shard events (arrivals travel
-        // the wire's direction; credit NOPs travel the reverse wire,
-        // which is its own port and registers its own pair).
-        let mut wired = vec![vec![false; nshards]; nshards];
         // A port's index is its rank among its shard's trained wire ends
         // in (node, link) order; fixed here for both ends of every wire.
         let mut port_at = vec![[None; LINKS_PER_NODE]; n];
@@ -1175,9 +1172,18 @@ impl EventEngine {
             }
         }
         let mut shards = Vec::with_capacity(nshards);
-        for (sid, wired_row) in wired.iter_mut().enumerate() {
+        // One ring per directed shard pair with a cut wire — exactly the
+        // pairs that ever exchange cross-shard events (arrivals travel
+        // the wire's direction; credit NOPs travel the reverse wire,
+        // which is its own port and registers its own pair) — numbered
+        // in (src, dst) order, with each ring's receiving shard.
+        let mut rings = Vec::new();
+        let mut ring_dst = Vec::new();
+        for sid in 0..nshards {
             let base = sid * procs;
             let mut ports = Vec::new();
+            // Shards across this shard's cut wires.
+            let mut peers = Vec::new();
             for ln in 0..procs {
                 let node = base + ln;
                 for l in 0..LINKS_PER_NODE {
@@ -1191,7 +1197,7 @@ impl EventEngine {
                     let peer_shard = peer / procs;
                     if peer_shard != sid {
                         lookahead = lookahead.min(config.hop_latency);
-                        wired_row[peer_shard] = true;
+                        peers.push(peer_shard as u32);
                     }
                     // Wires are symmetric, so the in-wire at (node, link)
                     // is fed by the transmitter at (peer, peer_link): its
@@ -1211,12 +1217,21 @@ impl EventEngine {
                         peer_shard: peer_shard as u32,
                         peer_port: port_at[peer][peer_link.0 as usize]
                             .expect("the far end of a trained wire is trained"),
+                        outbox: None,
                         coherent,
                         provenance: VecDeque::new(),
                         flows: Vec::new(),
                     });
                 }
             }
+            peers.sort_unstable();
+            peers.dedup();
+            for port in &mut ports {
+                port.outbox = peers.binary_search(&port.peer_shard).ok().map(|i| i as u32);
+            }
+            let out_peers: Vec<u32> = (rings.len() as u32..).take(peers.len()).collect();
+            rings.extend(peers.iter().map(|_| BatchRing::new()));
+            ring_dst.append(&mut peers);
             // One lane per port's in-wire, stamped by the shard across the
             // wire, then one drain lane per node.
             let srcs = ports.iter().map(|p| p.peer_shard);
@@ -1239,27 +1254,15 @@ impl EventEngine {
                 dels: Vec::new(),
                 monlog: Vec::new(),
                 inscratch: Vec::new(),
-                outbox: (0..nshards).map(|_| Vec::new()).collect(),
-                out_peers: Vec::new(),
+                outbox: out_peers.iter().map(|_| Vec::new()).collect(),
+                out_peers,
                 in_peers: Vec::new(),
                 profile: StageProfile::default(),
             });
         }
-        for src in 0..nshards {
-            for dst in 0..nshards {
-                if wired[src][dst] {
-                    shards[src].out_peers.push(dst as u32);
-                    shards[dst].in_peers.push(src as u32);
-                }
-            }
+        for (r, &dst) in ring_dst.iter().enumerate() {
+            shards[dst as usize].in_peers.push(r as u32);
         }
-        let rings = (0..nshards)
-            .map(|src| {
-                (0..nshards)
-                    .map(|dst| wired[src][dst].then(BatchRing::new))
-                    .collect()
-            })
-            .collect();
         // A zero lookahead would make the horizon equal the minimum and
         // process nothing; one picosecond still admits the minimum event.
         let lookahead = Duration(lookahead.picos().max(1));
@@ -2164,7 +2167,10 @@ mod tests {
     /// processors per supernode (corner, edge and interior supernodes):
     /// exactly the trained wire ends in ascending (node, link) order, each
     /// pointing at its far end, and one lane per trained in-wire plus one
-    /// drain lane per node.
+    /// drain lane per node. The cross-shard transport is sized by the
+    /// cut: one ring per directed pair of neighbouring supernodes, each
+    /// shard's outboxes and in-rings matching the peer shards of its cut
+    /// wires.
     #[test]
     fn port_table_holds_exactly_the_trained_wire_ends() {
         let mut platform = crate::TcclusterBuilder::new()
@@ -2204,5 +2210,38 @@ mod tests {
         wired.sort_unstable();
         wired.dedup();
         assert_eq!(wired, [4, 5, 6], "corner, edge and interior supernodes");
+
+        // One ring per directed neighbour pair (12 pairs along x and 12
+        // along y), each published into by one shard and drained by one.
+        let all: Vec<u32> = (0..48).collect();
+        for peers in [
+            |s: &Shard| s.out_peers.clone(),
+            |s: &Shard| s.in_peers.clone(),
+        ] {
+            let mut rings: Vec<u32> = engine.shards.iter().flat_map(peers).collect();
+            rings.sort_unstable();
+            assert_eq!(rings, all);
+        }
+        assert_eq!(engine.rings.len(), 48);
+        let into = |r: &u32| engine.shards.iter().position(|s| s.in_peers.contains(r));
+        let from = |r: &u32| engine.shards.iter().position(|s| s.out_peers.contains(r));
+        for (sid, shard) in engine.shards.iter().enumerate() {
+            let peer =
+                |p: &PortState| (p.peer_shard as usize != sid).then_some(p.peer_shard as usize);
+            let mut cut: Vec<usize> = shard.ports.iter().filter_map(peer).collect();
+            cut.sort_unstable();
+            cut.dedup();
+            let outs: Vec<_> = shard.out_peers.iter().filter_map(into).collect();
+            let ins: Vec<_> = shard.in_peers.iter().filter_map(from).collect();
+            assert_eq!(
+                (&outs, &ins, shard.outbox.len()),
+                (&cut, &cut, cut.len()),
+                "shard {sid}"
+            );
+            for port in &shard.ports {
+                let ring = port.outbox.map(|i| shard.out_peers[i as usize]);
+                assert_eq!(ring.and_then(|r| into(&r)), peer(port), "shard {sid}");
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   mechanisms of paper Fig. 6).
 //! * [`barrier`] — dissemination barriers and flags from remote stores.
 //! * [`handoff`] — the sharded event engine's executive primitives:
-//!   epoch-batched SPSC rings that move cross-shard events without
+//!   one-slot SPSC mailboxes that move cross-shard events without
 //!   per-event locking, and the spinning barrier its workers meet at.
 //! * [`shm`] — the threaded execution backend mapping TCCluster semantics
 //!   onto atomics (Release headers, Acquire polls, SeqCst sfence).
@@ -31,7 +31,7 @@ pub use barrier::{Barrier, Flag, SYNC_BYTES};
 pub use channel::{
     channel, Receiver, SendError, Sender, CHANNEL_BYTES, CREDIT_BYTES, MAX_MESSAGE, RDVZ_BYTES,
 };
-pub use handoff::{BatchRing, EpochBarrier, BATCH_RING_SLOTS};
+pub use handoff::{BatchRing, EpochBarrier};
 pub use ring::{
     RingError, RingReceiver, RingSender, SendMode, CELL_PAYLOAD, MAX_EAGER, RING_BYTES,
 };

@@ -5,6 +5,6 @@
 //! `tests/loom.rs` without touching protocol code.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{fence, AtomicU64, Ordering};
+pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{fence, AtomicU64, Ordering};
+pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};

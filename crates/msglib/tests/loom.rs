@@ -17,7 +17,9 @@
 //!   message boundaries;
 //! * `Flag` and the dissemination `Barrier` synchronise two ranks;
 //! * the event engine's `EpochBarrier` publishes each thread's
-//!   pre-barrier store to the other, epoch after epoch.
+//!   pre-barrier store to the other, epoch after epoch;
+//! * one `BatchRing` slot suffices under the epoch protocol: every
+//!   publish finds the slot free and every take finds that epoch's batch.
 
 #![cfg(loom)]
 
@@ -26,7 +28,7 @@ use loom::sync::Arc;
 use tcc_msglib::channel::{channel, CHANNEL_BYTES, CREDIT_BYTES};
 use tcc_msglib::ring::{RingReceiver, RingSender, SendMode, RING_BYTES};
 use tcc_msglib::shm::ShmMemory;
-use tcc_msglib::{Barrier, EpochBarrier, Flag, LocalWindow, RemoteWindow, SYNC_BYTES};
+use tcc_msglib::{Barrier, BatchRing, EpochBarrier, Flag, LocalWindow, RemoteWindow, SYNC_BYTES};
 
 /// Payload stored before a flag must be visible after observing the flag:
 /// the store_u64 release / load_u64 acquire pair is the ring protocol's
@@ -147,5 +149,38 @@ fn epoch_barrier_two_threads_three_epochs() {
         };
         run(0, barrier, slots);
         t.join().unwrap();
+    });
+}
+
+/// The event engine's mailbox handoff over three epochs: the producer
+/// publishes between the two barrier waits (B1, B0), the consumer takes
+/// after B0, so every publish finds the slot free and every take finds
+/// exactly that epoch's batch.
+#[test]
+fn batch_ring_one_slot_under_the_epoch_protocol() {
+    loom::model(|| {
+        let ring = Arc::new(BatchRing::<u64>::new());
+        let barrier = Arc::new(EpochBarrier::new(2));
+        let producer = {
+            let (ring, barrier) = (Arc::clone(&ring), Arc::clone(&barrier));
+            loom::thread::spawn(move || {
+                let mut staging = Vec::new();
+                for epoch in 1..=3 {
+                    barrier.wait(); // B1
+                    staging.push(epoch);
+                    assert!(ring.publish(&mut staging), "epoch {epoch}: slot still full");
+                    barrier.wait(); // B0
+                }
+            })
+        };
+        let mut scratch = Vec::new();
+        for epoch in 1..=3 {
+            barrier.wait(); // B1
+            barrier.wait(); // B0
+            assert!(ring.take(&mut scratch), "epoch {epoch}: no batch");
+            assert_eq!(scratch, [epoch]);
+            scratch.clear();
+        }
+        producer.join().unwrap();
     });
 }
