@@ -11,10 +11,9 @@
 //! the link.
 
 use tcc_fabric::series::{Figure, Series};
-use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
 use tcc_msglib::SendMode;
 use tcc_opteron::UarchParams;
-use tccluster::SimCluster;
+use tccluster::TcclusterBuilder;
 
 fn main() {
     let sizes: Vec<usize> = (12..=22).map(|p| 1usize << p).collect();
@@ -35,8 +34,10 @@ fn main() {
     for &(cap, label) in capacities {
         let mut params = UarchParams::shanghai();
         params.absorb_capacity_bytes = cap;
-        let spec = ClusterSpec::new(SupernodeSpec::new(1, 4 << 20), ClusterTopology::Pair);
-        let mut cluster = SimCluster::boot(spec, params);
+        let mut cluster = TcclusterBuilder::new()
+            .dram_per_node(4 << 20)
+            .params(params)
+            .build_sim();
         let mut series = Series::new(label);
         for &s in &sizes {
             let bw = cluster.stream_bandwidth(0, 1, s, SendMode::WeaklyOrdered, 3);

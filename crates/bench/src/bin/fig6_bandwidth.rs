@@ -7,13 +7,13 @@
 //! ~2000 MB/s; 64 B messages reach ~2500 MB/s; ConnectX reaches 200 /
 //! 1500 / 2500 MB/s at 64 B / 1 KB / 1 MB.
 
-use tcc_bench::{check_anchor, fig6_sizes, figure6_par};
+use tcc_bench::{check_anchor, fig6_sizes, figure6};
 use tcc_msglib::SendMode;
 
 fn main() {
     // Sweep points are independent (each resets the sim timebase), so
     // they run in parallel — one booted cluster per worker thread.
-    let fig = figure6_par(&fig6_sizes());
+    let fig = figure6(&fig6_sizes());
     println!("{fig}");
 
     println!("Paper-vs-measured anchors:");

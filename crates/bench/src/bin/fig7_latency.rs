@@ -4,11 +4,11 @@
 //! Paper anchors (§VI): 227 ns for 64 B packets; below 1 µs at 1 KB;
 //! InfiniBand around 1.4 µs for minimal packets — a ~4–6× advantage.
 
-use tcc_bench::{check_anchor, fig7_sizes, figure7_par};
+use tcc_bench::{check_anchor, fig7_sizes, figure7};
 
 fn main() {
     // Points are independent; sweep them in parallel (cluster per worker).
-    let fig = figure7_par(&fig7_sizes());
+    let fig = figure7(&fig7_sizes());
     println!("{fig}");
 
     let tcc = fig.get("TCCluster").expect("series");

@@ -5,11 +5,12 @@
 //! magnitude."
 
 use tcc_baseline::{Ethernet, IbNic};
-use tcc_bench::{check_anchor, prototype};
+use tcc_bench::check_anchor;
 use tcc_msglib::SendMode;
+use tccluster::TcclusterBuilder;
 
 fn main() {
-    let mut cluster = prototype();
+    let mut cluster = TcclusterBuilder::new().build_sim();
     println!("TCCluster headline reproduction (2-node HT800 prototype)\n");
 
     let lat = cluster.pingpong(0, 1, 64, 100).nanos();

@@ -10,11 +10,9 @@
 use rayon::prelude::*;
 use tcc_fabric::series::{Figure, Series};
 use tcc_fabric::time::Duration;
-use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
 use tcc_ht::link::LinkConfig;
 use tcc_msglib::SendMode;
-use tcc_opteron::UarchParams;
-use tccluster::SimCluster;
+use tccluster::TcclusterBuilder;
 
 fn main() {
     let configs: Vec<(&str, LinkConfig)> = vec![
@@ -60,8 +58,7 @@ fn main() {
     let measured: Vec<(f64, f64)> = configs
         .par_iter()
         .map(|&(_, cfg)| {
-            let spec = ClusterSpec::new(SupernodeSpec::new(1, 1 << 20), ClusterTopology::Pair);
-            let mut cluster = SimCluster::boot_with(spec, UarchParams::shanghai(), cfg);
+            let mut cluster = TcclusterBuilder::new().tcc_link(cfg).build_sim();
             let bw = cluster.stream_bandwidth(0, 1, 4 << 20, SendMode::WeaklyOrdered, 2);
             let lat = cluster.pingpong(0, 1, 64, 30).nanos();
             (bw, lat)

@@ -8,14 +8,13 @@
 //! each step adds one coherent-fabric hop to the same cable crossing.
 
 use tcc_fabric::series::{Figure, Series};
-use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
-use tcc_opteron::UarchParams;
-use tccluster::SimCluster;
+use tccluster::TcclusterBuilder;
 
 fn main() {
     const PROCS: usize = 8;
-    let spec = ClusterSpec::new(SupernodeSpec::new(PROCS, 1 << 20), ClusterTopology::Pair);
-    let mut cluster = SimCluster::boot(spec, UarchParams::shanghai());
+    let mut cluster = TcclusterBuilder::new()
+        .processors_per_supernode(PROCS)
+        .build_sim();
 
     // The East port of supernode 0 is on its last processor; supernode 1
     // is entered at its first processor (West port). Binding the sender to

@@ -4,11 +4,11 @@
 //! This sweep fills in the curve between them: fence every 1, 2, 4, …
 //! cells and never.
 
-use tcc_bench::prototype;
 use tcc_fabric::series::{Figure, Series};
+use tccluster::TcclusterBuilder;
 
 fn main() {
-    let mut cluster = prototype();
+    let mut cluster = TcclusterBuilder::new().build_sim();
     const SIZE: usize = 16 << 10; // 16 KB messages, all on the eager path shape
     let intervals: &[usize] = &[1, 2, 4, 8, 16, 32, 0];
 

@@ -6,11 +6,11 @@
 //! every 64-bit store becomes its own serialised HT packet: 8 bytes of
 //! payload behind an 8-byte command header, with no store overlap.
 
-use tcc_bench::prototype;
 use tcc_msglib::SendMode;
+use tccluster::TcclusterBuilder;
 
 fn main() {
-    let mut cluster = prototype();
+    let mut cluster = TcclusterBuilder::new().build_sim();
     const SIZES: &[usize] = &[1 << 10, 16 << 10, 256 << 10];
 
     println!("Write-combining ablation\n");

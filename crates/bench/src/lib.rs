@@ -1,27 +1,16 @@
 //! # tcc-bench — experiment harnesses
 //!
-//! One binary per paper figure/table (see DESIGN.md's experiment index)
-//! plus Criterion microbenchmarks. This library holds the shared sweep
-//! and reporting helpers so every binary prints through the same
-//! [`tcc_fabric::series::Figure`] machinery that the tests assert on.
+//! One binary per paper figure/table (see DESIGN.md's experiment index).
+//! This library holds the shared sweep and reporting helpers so every
+//! binary prints through the same [`tcc_fabric::series::Figure`]
+//! machinery that the tests assert on. Simulator wall-clock floors live
+//! in `tests/speed_floors.rs`.
 
 use rayon::prelude::*;
 use tcc_baseline::IbNic;
 use tcc_fabric::series::{Figure, Series};
-use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
 use tcc_msglib::SendMode;
-use tcc_opteron::UarchParams;
-use tccluster::SimCluster;
-
-/// DRAM per simulated node used by all experiments (1 MiB of exported
-/// window is plenty for rings + rendezvous zones).
-pub const DRAM: u64 = 1 << 20;
-
-/// The paper's prototype: two single-socket supernodes, one HT800 cable.
-pub fn prototype() -> SimCluster {
-    let spec = ClusterSpec::new(SupernodeSpec::new(1, DRAM), ClusterTopology::Pair);
-    SimCluster::boot(spec, UarchParams::shanghai())
-}
+use tccluster::TcclusterBuilder;
 
 /// Message-size sweep of Figure 6 (64 B … 4 MB, powers of two).
 pub fn fig6_sizes() -> Vec<usize> {
@@ -43,72 +32,27 @@ pub fn iters_for(size: usize) -> u32 {
     }
 }
 
-/// Build the Figure 6 dataset: weakly ordered, strictly ordered, and the
-/// ConnectX reference, over `sizes`.
-pub fn figure6(cluster: &mut SimCluster, sizes: &[usize]) -> Figure {
-    let mut fig = Figure::new(
-        "Figure 6 — TCCluster bandwidth (MB/s) vs message size (B)",
-        "bytes",
-        "MB/s",
-    );
-    let mut weak = Series::new("TCC weakly ordered");
-    let mut strict = Series::new("TCC strictly ordered");
-    let mut ib = Series::new("InfiniBand ConnectX");
-    let nic = IbNic::connectx();
-    for &s in sizes {
-        let it = iters_for(s);
-        weak.push(
-            s as f64,
-            cluster.stream_bandwidth(0, 1, s, SendMode::WeaklyOrdered, it),
-        );
-        strict.push(
-            s as f64,
-            cluster.stream_bandwidth(0, 1, s, SendMode::StrictlyOrdered, it),
-        );
-        ib.push(s as f64, nic.bandwidth_mb_s(s));
-    }
-    fig.add(weak);
-    fig.add(strict);
-    fig.add(ib);
-    fig
-}
-
-/// Build the Figure 7 dataset: TCCluster half-round-trip latency plus the
-/// ConnectX one-way reference, in nanoseconds.
-pub fn figure7(cluster: &mut SimCluster, sizes: &[usize]) -> Figure {
-    let mut fig = Figure::new(
-        "Figure 7 — TCCluster half-round-trip latency (ns) vs message size (B)",
-        "bytes",
-        "ns",
-    );
-    let mut tcc = Series::new("TCCluster");
-    let mut ib = Series::new("InfiniBand ConnectX");
-    let nic = IbNic::connectx();
-    for &s in sizes {
-        tcc.push(s as f64, cluster.pingpong(0, 1, s, 50).nanos());
-        ib.push(s as f64, nic.latency(s).nanos());
-    }
-    fig.add(tcc);
-    fig.add(ib);
-    fig
-}
-
-/// [`figure6`] with the sweep points computed in parallel: each worker
-/// boots its own prototype cluster and sweeps a contiguous chunk of
-/// `sizes`. Every measurement resets the simulated timebase first, so
-/// the points are independent and the dataset is bit-identical to the
-/// sequential sweep — parallelism trades wall clock only.
-pub fn figure6_par(sizes: &[usize]) -> Figure {
+/// Build the Figure 6 dataset over `sizes`: weakly ordered, strictly
+/// ordered, and the ConnectX reference. The points are computed in
+/// parallel: each worker boots its own prototype cluster and sweeps a
+/// contiguous chunk of `sizes`. Every measurement resets the simulated
+/// timebase first, so the points are independent and the dataset is
+/// bit-identical to a sequential sweep — parallelism trades wall clock
+/// only.
+pub fn figure6(sizes: &[usize]) -> Figure {
     let pts: Vec<(f64, f64, f64)> = sizes
         .par_iter()
-        .map_init(prototype, |cluster, &s| {
-            let it = iters_for(s);
-            (
-                s as f64,
-                cluster.stream_bandwidth(0, 1, s, SendMode::WeaklyOrdered, it),
-                cluster.stream_bandwidth(0, 1, s, SendMode::StrictlyOrdered, it),
-            )
-        })
+        .map_init(
+            || TcclusterBuilder::new().build_sim(),
+            |cluster, &s| {
+                let it = iters_for(s);
+                (
+                    s as f64,
+                    cluster.stream_bandwidth(0, 1, s, SendMode::WeaklyOrdered, it),
+                    cluster.stream_bandwidth(0, 1, s, SendMode::StrictlyOrdered, it),
+                )
+            },
+        )
         .collect();
     let mut fig = Figure::new(
         "Figure 6 — TCCluster bandwidth (MB/s) vs message size (B)",
@@ -130,14 +74,16 @@ pub fn figure6_par(sizes: &[usize]) -> Figure {
     fig
 }
 
-/// [`figure7`] with parallel sweep points; bit-identical to the
-/// sequential dataset (see [`figure6_par`] for why).
-pub fn figure7_par(sizes: &[usize]) -> Figure {
+/// Build the Figure 7 dataset over `sizes`: TCCluster half-round-trip
+/// latency plus the ConnectX one-way reference, in nanoseconds. Parallel
+/// and bit-identical to a sequential sweep, as in [`figure6`].
+pub fn figure7(sizes: &[usize]) -> Figure {
     let pts: Vec<(f64, f64)> = sizes
         .par_iter()
-        .map_init(prototype, |cluster, &s| {
-            (s as f64, cluster.pingpong(0, 1, s, 50).nanos())
-        })
+        .map_init(
+            || TcclusterBuilder::new().build_sim(),
+            |cluster, &s| (s as f64, cluster.pingpong(0, 1, s, 50).nanos()),
+        )
         .collect();
     let mut fig = Figure::new(
         "Figure 7 — TCCluster half-round-trip latency (ns) vs message size (B)",
@@ -176,9 +122,7 @@ mod tests {
 
     #[test]
     fn fig6_dataset_reproduces_paper_shape() {
-        let mut c = prototype();
-        let sizes = vec![64, 1024, 256 << 10, 4 << 20];
-        let fig = figure6(&mut c, &sizes);
+        let fig = figure6(&[64, 1024, 256 << 10, 4 << 20]);
         let weak = fig.get("TCC weakly ordered").unwrap();
         let strict = fig.get("TCC strictly ordered").unwrap();
         let ib = fig.get("InfiniBand ConnectX").unwrap();
@@ -200,30 +144,31 @@ mod tests {
     fn parallel_sweeps_match_sequential_bitwise() {
         // The parallel sweep boots a cluster per worker; every point
         // resets the simulated timebase, so the numbers must be exactly
-        // the sequential ones.
-        let sizes = vec![64usize, 1024, 64 << 10];
-        let mut c = prototype();
-        let seq6 = figure6(&mut c, &sizes);
-        let par6 = figure6_par(&sizes);
-        for name in ["TCC weakly ordered", "TCC strictly ordered"] {
-            let a = &seq6.get(name).unwrap().points;
-            let b = &par6.get(name).unwrap().points;
-            assert_eq!(a, b, "{name} diverged");
+        // those of one cluster measuring the sizes in order.
+        let mut c = TcclusterBuilder::new().build_sim();
+        let sizes = [64usize, 1024, 64 << 10];
+        let fig6 = figure6(&sizes);
+        for (name, mode) in [
+            ("TCC weakly ordered", SendMode::WeaklyOrdered),
+            ("TCC strictly ordered", SendMode::StrictlyOrdered),
+        ] {
+            let seq: Vec<(f64, f64)> = sizes
+                .iter()
+                .map(|&s| (s as f64, c.stream_bandwidth(0, 1, s, mode, iters_for(s))))
+                .collect();
+            assert_eq!(fig6.get(name).unwrap().points, seq, "{name} diverged");
         }
-        let lat_sizes = vec![64usize, 512];
-        let seq7 = figure7(&mut c, &lat_sizes);
-        let par7 = figure7_par(&lat_sizes);
-        assert_eq!(
-            seq7.get("TCCluster").unwrap().points,
-            par7.get("TCCluster").unwrap().points
-        );
+        let lat_sizes = [64usize, 512];
+        let seq7: Vec<(f64, f64)> = lat_sizes
+            .iter()
+            .map(|&s| (s as f64, c.pingpong(0, 1, s, 50).nanos()))
+            .collect();
+        assert_eq!(figure7(&lat_sizes).get("TCCluster").unwrap().points, seq7);
     }
 
     #[test]
     fn fig7_dataset_reproduces_paper_shape() {
-        let mut c = prototype();
-        let sizes = vec![64, 1024];
-        let fig = figure7(&mut c, &sizes);
+        let fig = figure7(&[64, 1024]);
         let tcc = fig.get("TCCluster").unwrap();
         let ib = fig.get("InfiniBand ConnectX").unwrap();
         // ~4-6x advantage at minimal size (paper: 227 ns vs ~1.4 us).

@@ -18,7 +18,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use tcc_bench::{fig6_sizes, figure6_par};
+use tcc_bench::{fig6_sizes, figure6};
 use tcc_msglib::SendMode;
 use tccluster::firmware::topology::ClusterTopology;
 use tccluster::{EngineKind, ShmCluster, TcclusterBuilder, TrafficPattern};
@@ -136,7 +136,7 @@ fn fig6_sweep_is_not_slower_than_pre_change() {
     let fig6_ms = (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
-            assert_eq!(figure6_par(&sizes).series.len(), 3);
+            assert_eq!(figure6(&sizes).series.len(), 3);
             t0.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min);

@@ -110,7 +110,7 @@ impl TcclusterBuilder {
     /// sequence, including the remote-access self test).
     #[must_use]
     pub fn build_sim(&self) -> SimCluster {
-        SimCluster::boot_engine_opts(
+        SimCluster::new(
             self.spec(),
             self.params.clone(),
             self.tcc_link,

@@ -57,36 +57,10 @@ const LIB_TURNAROUND: Duration = Duration(10_000);
 const RDVZ_HANDSHAKE: Duration = Duration(400_000);
 
 impl SimCluster {
-    /// Assemble and boot with the paper's HT800/16-bit cable.
-    pub fn boot(spec: ClusterSpec, params: UarchParams) -> Self {
-        Self::boot_with(spec, params, tcc_ht::link::LinkConfig::PROTOTYPE)
-    }
-
-    /// Assemble and boot with a specific TCC link configuration (e.g. the
-    /// full-speed backplane the paper projects for future work).
-    pub fn boot_with(
-        spec: ClusterSpec,
-        params: UarchParams,
-        tcc_link: tcc_ht::link::LinkConfig,
-    ) -> Self {
-        Self::boot_engine(spec, params, tcc_link, EngineKind::default())
-    }
-
-    /// Assemble and boot on an explicit timing engine (see
-    /// [`EngineKind`] and `docs/engine.md` for the trade-off).
-    pub fn boot_engine(
-        spec: ClusterSpec,
-        params: UarchParams,
-        tcc_link: tcc_ht::link::LinkConfig,
-        engine: EngineKind,
-    ) -> Self {
-        Self::boot_engine_opts(spec, params, tcc_link, engine, EngineOptions::default())
-    }
-
-    /// [`SimCluster::boot_engine`] with explicit event-executive options
-    /// (worker threads, profile clock). The options persist across
-    /// [`SimCluster::reset_timebase`] rebuilds.
-    pub fn boot_engine_opts(
+    /// Assemble and boot on `engine`; `options` persist across
+    /// [`SimCluster::reset_timebase`] rebuilds. The public way in is
+    /// [`crate::TcclusterBuilder::build_sim`].
+    pub(crate) fn new(
         spec: ClusterSpec,
         params: UarchParams,
         tcc_link: tcc_ht::link::LinkConfig,
@@ -128,6 +102,13 @@ impl SimCluster {
 
     pub fn spec(&self) -> ClusterSpec {
         self.platform.spec
+    }
+
+    /// Base of global processor `p`'s exported DRAM slice.
+    fn proc_base(&self, p: usize) -> u64 {
+        let spec = self.spec();
+        let procs = spec.supernode.processors;
+        spec.node_base(p / procs, p % procs)
     }
 
     /// The event-executive options this cluster runs with.
@@ -276,11 +257,8 @@ impl SimCluster {
     /// between global processors `a` and `b`.
     pub fn pingpong(&mut self, a: usize, b: usize, size: usize, iters: u32) -> Duration {
         self.reset_timebase();
-        let spec = self.spec();
-        let (sa, pa) = (a / spec.supernode.processors, a % spec.supernode.processors);
-        let (sb, pb) = (b / spec.supernode.processors, b % spec.supernode.processors);
-        let ring_at_b = spec.node_base(sb, pb); // ping lands at B's ring
-        let ring_at_a = spec.node_base(sa, pa) + 0x1000; // pong ring at A
+        let ring_at_b = self.proc_base(b); // ping lands at B's ring
+        let ring_at_a = self.proc_base(a) + 0x1000; // pong ring at A
         let mut t = SimTime::ZERO;
         let mut total = Duration::ZERO;
         for iter in 0..iters {
@@ -327,9 +305,7 @@ impl SimCluster {
         iters: u32,
     ) -> f64 {
         self.reset_timebase();
-        let spec = self.spec();
-        let (sb, pb) = (b / spec.supernode.processors, b % spec.supernode.processors);
-        let dst_base = spec.node_base(sb, pb);
+        let dst_base = self.proc_base(b);
         if size <= tcc_msglib::MAX_EAGER {
             // Stream messages back to back; measure the steady state by
             // timing only the second half, after the absorption window
@@ -367,20 +343,24 @@ impl SimCluster {
             for _ in 0..iters {
                 let t0 = t;
                 let (retire, visible) = self.send_rendezvous(a, dst_base + 0x1000, size, t0, mode);
-                let done = visible.max(self.settle());
-                // Chained: the paper's sender-side clock stop. Event: the
-                // absorption artifact doesn't exist under raw egress, so
-                // the honest stamp is delivery completion.
-                let stamp = if self.event.is_some() {
-                    retire.max(done)
-                } else {
-                    retire
-                };
+                let stamp = self.message_stamp(retire, visible);
                 sum_ps += stamp.since(t0).picos() as f64;
                 // Drain fully before the next message (per-message timing).
-                t = retire.max(done) + Duration::from_micros(2);
+                t = stamp.max(visible) + Duration::from_micros(2);
             }
             size as f64 / (sum_ps / iters as f64 / 1e12) / 1e6
+        }
+    }
+
+    /// The per-message clock stop. Chained: the paper's sender-side
+    /// stamp, the last store's `retire`. Event: the absorption artifact
+    /// does not exist under raw egress (retire is not backpressured), so
+    /// the fabric runs to quiescence and the stamp is delivery completion.
+    fn message_stamp(&mut self, retire: SimTime, visible: SimTime) -> SimTime {
+        if self.event.is_some() {
+            retire.max(visible).max(self.settle())
+        } else {
+            retire
         }
     }
 
@@ -396,9 +376,6 @@ impl SimCluster {
         iters: u32,
     ) -> f64 {
         self.reset_timebase();
-        let spec = self.spec();
-        let (sb, pb) = (b / spec.supernode.processors, b % spec.supernode.processors);
-        let dst = spec.node_base(sb, pb);
         let pattern = BurstPattern {
             cell_payload: CELL_PAYLOAD,
             cell_stride: CELL_BYTES as u64,
@@ -409,26 +386,7 @@ impl SimCluster {
             final_fence: false,
             wrap_bytes: 0,
         };
-        let mut t = SimTime::ZERO;
-        let mut sum_ps = 0.0;
-        for _ in 0..iters {
-            let t0 = t + LIB_SEND_OVERHEAD;
-            self.sink.clear();
-            let out = self.platform.nodes[a].store_burst(t0, dst, &pattern, size, &mut self.sink);
-            let retire = t0.max(out.retire);
-            self.drain_visible(a);
-            // Event mode times delivery completion (sender-side retire is
-            // not backpressured under raw egress); chained keeps the
-            // paper's sender-side stamp.
-            let fin = if self.event.is_some() {
-                retire.max(self.settle())
-            } else {
-                retire
-            };
-            sum_ps += (fin - t0).picos() as f64;
-            t = fin + Duration::from_micros(2);
-        }
-        size as f64 / (sum_ps / iters as f64 / 1e12) / 1e6
+        self.timed_bursts(a, self.proc_base(b), &pattern, size, size, iters)
     }
 
     /// Ablation harness (write combining on/off): with WC disabled the
@@ -437,17 +395,14 @@ impl SimCluster {
     /// "intensive use of the write combining capability". Returns MB/s.
     pub fn bandwidth_without_wc(&mut self, a: usize, b: usize, size: usize, iters: u32) -> f64 {
         self.reset_timebase();
-        let spec = self.spec();
-        let (sb, pb) = (b / spec.supernode.processors, b % spec.supernode.processors);
-        let dst = spec.node_base(sb, pb);
+        let dst = self.proc_base(b);
+        let slice = self.spec().supernode.slice_bytes();
         // Remap the remote slice UC on the sender.
         let saved = self.platform.nodes[a].mtrrs.clone();
         self.platform.nodes[a].mtrrs.clear();
-        self.platform.nodes[a].mtrrs.program(
-            dst,
-            dst + spec.supernode.slice_bytes(),
-            tcc_opteron::MemType::Uncacheable,
-        );
+        self.platform.nodes[a]
+            .mtrrs
+            .program(dst, dst + slice, tcc_opteron::MemType::Uncacheable);
         // Every 8 B slot is stored in full (the driver loop wrote whole
         // qwords), so round the burst length up to the stride.
         let pattern = BurstPattern {
@@ -460,27 +415,34 @@ impl SimCluster {
             final_fence: false,
             wrap_bytes: 0,
         };
-        let len = size.div_ceil(8) * 8;
+        let bw = self.timed_bursts(a, dst, &pattern, size.div_ceil(8) * 8, size, iters);
+        self.platform.nodes[a].mtrrs = saved;
+        bw
+    }
+
+    /// The ablations' timed loop: `iters` bursts of `len` bytes in
+    /// `pattern` from `a` to `dst`, each drained fully before the next
+    /// starts. Returns MB/s for `size` application bytes per burst.
+    fn timed_bursts(
+        &mut self,
+        a: usize,
+        dst: u64,
+        pattern: &BurstPattern,
+        len: usize,
+        size: usize,
+        iters: u32,
+    ) -> f64 {
         let mut t = SimTime::ZERO;
         let mut sum_ps = 0.0;
         for _ in 0..iters {
             let t0 = t + LIB_SEND_OVERHEAD;
             self.sink.clear();
-            let out = self.platform.nodes[a].store_burst(t0, dst, &pattern, len, &mut self.sink);
-            let retire = t0.max(out.retire);
-            self.drain_visible(a);
-            // Event mode times delivery completion (sender-side retire is
-            // not backpressured under raw egress); chained keeps the
-            // paper's sender-side stamp.
-            let fin = if self.event.is_some() {
-                retire.max(self.settle())
-            } else {
-                retire
-            };
+            let out = self.platform.nodes[a].store_burst(t0, dst, pattern, len, &mut self.sink);
+            let visible = self.drain_visible(a);
+            let fin = self.message_stamp(t0.max(out.retire), visible);
             sum_ps += (fin - t0).picos() as f64;
             t = fin + Duration::from_micros(2);
         }
-        self.platform.nodes[a].mtrrs = saved;
         size as f64 / (sum_ps / iters as f64 / 1e12) / 1e6
     }
 
@@ -592,23 +554,17 @@ fn eager_delivered_goodput(commits: &[CommitRec], floor: usize, size: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcc_firmware::topology::{ClusterTopology, SupernodeSpec};
-
-    const MB: u64 = 1 << 20;
+    use crate::TcclusterBuilder;
+    use tcc_firmware::topology::ClusterTopology;
 
     fn pair() -> SimCluster {
-        let spec = ClusterSpec::new(SupernodeSpec::new(1, MB), ClusterTopology::Pair);
-        SimCluster::boot(spec, UarchParams::shanghai())
+        TcclusterBuilder::new().build_sim()
     }
 
     fn pair_event() -> SimCluster {
-        let spec = ClusterSpec::new(SupernodeSpec::new(1, MB), ClusterTopology::Pair);
-        SimCluster::boot_engine(
-            spec,
-            UarchParams::shanghai(),
-            tcc_ht::link::LinkConfig::PROTOTYPE,
-            EngineKind::EventDriven,
-        )
+        TcclusterBuilder::new()
+            .engine(EngineKind::EventDriven)
+            .build_sim()
     }
 
     #[test]
@@ -698,16 +654,11 @@ mod tests {
         // The tentpole behaviour: concurrent flows on a 2x2 mesh through
         // the event engine see real backpressure (credit stalls) and
         // still deliver every packet.
-        let spec = ClusterSpec::new(
-            SupernodeSpec::new(2, MB),
-            ClusterTopology::Mesh { x: 2, y: 2 },
-        );
-        let mut c = SimCluster::boot_engine(
-            spec,
-            UarchParams::shanghai(),
-            tcc_ht::link::LinkConfig::PROTOTYPE,
-            EngineKind::EventDriven,
-        );
+        let mut c = TcclusterBuilder::new()
+            .topology(ClusterTopology::Mesh { x: 2, y: 2 })
+            .processors_per_supernode(2)
+            .engine(EngineKind::EventDriven)
+            .build_sim();
         let report = c.run_workload(TrafficPattern::AllToAll, 16 << 10);
         assert_eq!(report.flows.len(), 12);
         assert_eq!(report.lost_packets(), 0, "{report:?}");

@@ -5,9 +5,6 @@
 //! propagation latency after serialisation completes. Back-to-back transfers
 //! queue behind one another, which is exactly how a HyperTransport lane, a
 //! DRAM channel, or a PCIe link behaves at packet granularity.
-//!
-//! [`RateLimiter`] is the serialisation half alone (no latency), useful for
-//! modelling issue-rate-limited stages such as a store queue.
 
 use crate::time::{Duration, SimTime};
 
@@ -135,34 +132,6 @@ impl Channel {
     }
 }
 
-/// A pure rate limiter: items are admitted no faster than one per `gap`.
-#[derive(Debug, Clone)]
-pub struct RateLimiter {
-    pub gap: Duration,
-    next_free: SimTime,
-}
-
-impl RateLimiter {
-    #[must_use]
-    pub fn new(gap: Duration) -> Self {
-        RateLimiter {
-            gap,
-            next_free: SimTime::ZERO,
-        }
-    }
-
-    /// Admit one item at `now`; returns the time it is actually admitted.
-    pub fn admit(&mut self, now: SimTime) -> SimTime {
-        let at = now.max(self.next_free);
-        self.next_free = at + self.gap;
-        at
-    }
-
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,14 +209,6 @@ mod tests {
         ch.transfer(SimTime::ZERO, 2000);
         assert_eq!(ch.backlog(SimTime::ZERO), Duration::from_micros(2));
         assert_eq!(ch.backlog(SimTime(1_000_000)), Duration::from_micros(1));
-    }
-
-    #[test]
-    fn rate_limiter_spaces_admissions() {
-        let mut rl = RateLimiter::new(Duration::from_nanos(10));
-        assert_eq!(rl.admit(SimTime::ZERO), SimTime::ZERO);
-        assert_eq!(rl.admit(SimTime::ZERO), SimTime(10_000));
-        assert_eq!(rl.admit(SimTime(100_000)), SimTime(100_000));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod series;
 pub mod time;
 pub mod trace;
 
-pub use channel::{Channel, RateLimiter, Transfer};
+pub use channel::{Channel, Transfer};
 pub use event::EventQueue;
 pub use rng::Xoshiro256;
 pub use series::{Figure, Series};

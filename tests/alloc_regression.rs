@@ -90,7 +90,7 @@ fn steady_state_hot_paths_allocate_nothing() {
     // --- simulated store/propagate path: 64 B WC stores to a remote
     //     node, fully propagated, with caller-reused buffers. ---
     use tccluster::fabric::time::SimTime;
-    let mut cluster = tcc_bench::prototype();
+    let mut cluster = tccluster::TcclusterBuilder::new().build_sim();
     cluster.reset_timebase();
     let dst = cluster.spec().node_base(1, 0);
     let mut sink = tcc_opteron::ActionSink::new();

@@ -7,7 +7,7 @@ use tcc_firmware::topology::{ClusterSpec, ClusterTopology, SupernodeSpec};
 use tcc_middleware::{Comm, GlobalArray, ReduceOp};
 use tcc_msglib::SendMode;
 use tcc_opteron::UarchParams;
-use tccluster::{ShmCluster, SimCluster, TcclusterBuilder};
+use tccluster::{ShmCluster, TcclusterBuilder};
 
 const MB: u64 = 1 << 20;
 
@@ -31,8 +31,9 @@ fn paper_prototype_full_stack() {
 
 #[test]
 fn chain_boot_and_multihop_latency_monotone() {
-    let spec = ClusterSpec::new(SupernodeSpec::new(1, MB), ClusterTopology::Chain(4));
-    let mut sim = SimCluster::boot(spec, UarchParams::shanghai());
+    let mut sim = TcclusterBuilder::new()
+        .topology(ClusterTopology::Chain(4))
+        .build_sim();
     // Latency to farther supernodes grows by a bounded per-hop increment.
     let l1 = sim.pingpong(0, 1, 64, 30).nanos();
     let l2 = sim.pingpong(0, 2, 64, 30).nanos();

@@ -6,6 +6,8 @@
 //! each other across randomized link configurations, and pin the event
 //! engine's conservation properties (no packet lost, every credit home,
 //! TCC discipline clean) under the concurrent workloads only it can run.
+//! Where the engines time differently by design (the per-message
+//! drivers), each engine's readings are pinned bit for bit instead.
 
 use proptest::prelude::*;
 use tcc_firmware::topology::ClusterTopology;
@@ -167,5 +169,63 @@ fn hotspot_and_halo_complete_without_loss() {
         let report = cluster.run_workload(pattern, 8 << 10);
         assert_eq!(report.lost_packets(), 0, "{pattern:?}: {report:?}");
         assert!(report.delivered_packets > 0, "{pattern:?} moved nothing");
+    }
+}
+
+/// Bit-exact pins for the per-message drivers on both engines: the
+/// sfence-interval and write-combining ablations, and streaming at
+/// rendezvous sizes. The chained engine stamps sender-side retire, the
+/// event engine delivery completion; both must keep these exact
+/// readings (`f64::to_bits`) through any rework of the timing loop.
+#[test]
+fn per_message_drivers_are_pinned_on_both_engines() {
+    const PINS: [(EngineKind, [u64; 8]); 2] = [
+        (
+            EngineKind::Chained,
+            [
+                0x40b5b5511c6afcb6, // 5557.317
+                0x40a02963f4ccd24f, // 2068.695
+                0x40aaa812d21f9b0f, // 3412.037
+                0x4091a7c6259ac1ce, // 1129.944
+                0x4090f9efc1b257e4, // 1086.484
+                0x40ab5c90aafc24cf, // 3502.283
+                0x409aa9ad4c2b7c13, // 1706.419
+                0x40b54b1f7f7efeea, // 5451.123
+            ],
+        ),
+        (
+            EngineKind::EventDriven,
+            [
+                0x40a0a52a053f12d0, // 2130.582
+                0x409e8bc470b4706d, // 1954.942
+                0x40a0d1388765a48c, // 2152.610
+                0x408101004e017ae2, // 544.125
+                0x40784049be9972f2, // 388.018
+                0x40a03a09c3ccead2, // 2077.019
+                0x4099a5b66191a6a1, // 1641.428
+                0x40a5ed42a80fa13d, // 2806.630
+            ],
+        ),
+    ];
+    for (kind, pins) in PINS {
+        let mut c = TcclusterBuilder::new().engine(kind).build_sim();
+        let got = [
+            c.bandwidth_fence_interval(0, 1, 4096, 0, 3),
+            c.bandwidth_fence_interval(0, 1, 4096, 1, 3),
+            c.bandwidth_fence_interval(0, 1, 16 << 10, 4, 2),
+            c.bandwidth_without_wc(0, 1, 1 << 10, 2),
+            c.bandwidth_without_wc(0, 1, 100, 2),
+            c.stream_bandwidth(0, 1, 4096, SendMode::WeaklyOrdered, 3),
+            c.stream_bandwidth(0, 1, 4096, SendMode::StrictlyOrdered, 3),
+            c.stream_bandwidth(0, 1, 256 << 10, SendMode::WeaklyOrdered, 2),
+        ];
+        for (i, (mbps, pin)) in got.into_iter().zip(pins).enumerate() {
+            assert_eq!(
+                mbps.to_bits(),
+                pin,
+                "{kind:?} point {i}: {mbps} MB/s, pinned {}",
+                f64::from_bits(pin)
+            );
+        }
     }
 }

@@ -138,8 +138,8 @@ proptest! {
             wrap_bytes: 0,
         };
 
-        let mut burst = tcc_bench::prototype();
-        let mut looped = tcc_bench::prototype();
+        let mut burst = tccluster::TcclusterBuilder::new().build_sim();
+        let mut looped = tccluster::TcclusterBuilder::new().build_sim();
         burst.reset_timebase();
         looped.reset_timebase();
         let base = burst.spec().node_base(1, 0);
@@ -211,8 +211,7 @@ proptest! {
     /// within physical bounds on the simulated prototype.
     #[test]
     fn sim_measurements_physically_bounded(size_pow in 6u32..12) {
-        let spec = ClusterSpec::new(SupernodeSpec::new(1, MB), ClusterTopology::Pair);
-        let mut sim = tccluster::SimCluster::boot(spec, UarchParams::shanghai());
+        let mut sim = tccluster::TcclusterBuilder::new().build_sim();
         let size = 1usize << size_pow;
         let lat = sim.pingpong(0, 1, size, 10);
         let bigger = sim.pingpong(0, 1, size * 2, 10);
