@@ -80,14 +80,17 @@ impl NodeCtx {
             .try_recv_into(out)
     }
 
-    /// Poll all peers round-robin; returns (source, message).
+    /// Poll every peer once, lowest rank first; returns (source,
+    /// message) from the first peer with a message ready.
     pub fn try_recv_any(&mut self) -> Option<(usize, Vec<u8>)> {
         let mut out = Vec::new();
         self.try_recv_any_into(&mut out).map(|(src, _)| (src, out))
     }
 
-    /// Poll all peers round-robin into a caller-provided buffer; returns
-    /// (source, message length).
+    /// Poll every peer once, lowest rank first, into a caller-provided
+    /// buffer; returns (source, message length) from the first peer with
+    /// a message ready. Each call restarts the scan at rank 0, so a busy
+    /// low rank is always served before a higher one.
     pub fn try_recv_any_into(&mut self, out: &mut Vec<u8>) -> Option<(usize, usize)> {
         for p in 0..self.n {
             if p == self.rank {
@@ -98,26 +101,6 @@ impl NodeCtx {
             }
         }
         None
-    }
-
-    /// Blocking receive from any peer.
-    pub fn recv_any(&mut self) -> (usize, Vec<u8>) {
-        let mut out = Vec::new();
-        let (src, _) = self.recv_any_into(&mut out);
-        (src, out)
-    }
-
-    /// Blocking receive from any peer into a caller-provided buffer;
-    /// returns (source, message length). Spins with exponential backoff
-    /// while every ring is empty.
-    pub fn recv_any_into(&mut self, out: &mut Vec<u8>) -> (usize, usize) {
-        let mut backoff = tcc_msglib::Backoff::new();
-        loop {
-            if let Some(r) = self.try_recv_any_into(out) {
-                return r;
-            }
-            backoff.snooze();
-        }
     }
 
     /// Global barrier across all ranks.
@@ -307,8 +290,14 @@ mod tests {
         let results = cluster.run(|ctx| {
             if ctx.rank == 0 {
                 let mut seen = [false; N];
+                let mut backoff = tcc_msglib::Backoff::new();
                 for _ in 0..N - 1 {
-                    let (src, msg) = ctx.recv_any();
+                    let (src, msg) = loop {
+                        match ctx.try_recv_any() {
+                            Some(got) => break got,
+                            None => backoff.snooze(),
+                        }
+                    };
                     assert_eq!(msg, (src as u64).to_le_bytes());
                     seen[src] = true;
                 }

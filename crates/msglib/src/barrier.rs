@@ -92,43 +92,6 @@ impl<R: RemoteWindow, L: LocalWindow> Barrier<R, L> {
     }
 }
 
-/// A simple remote-store flag: one writer sets an epoch, one waiter polls.
-/// The building block for ad-hoc synchronisation (e.g. rendezvous of a
-/// benchmark's two sides).
-#[derive(Debug)]
-pub struct Flag<W> {
-    window: W,
-    offset: u64,
-}
-
-impl<W: RemoteWindow> Flag<W> {
-    pub fn signaller(window: W, offset: u64) -> Self {
-        Flag { window, offset }
-    }
-
-    pub fn signal(&self, value: u64) {
-        self.window.store_u64(self.offset, value);
-        self.window.fence();
-    }
-}
-
-impl<W: LocalWindow> Flag<W> {
-    pub fn waiter(window: W, offset: u64) -> Self {
-        Flag { window, offset }
-    }
-
-    pub fn poll(&self) -> u64 {
-        self.window.load_u64(self.offset)
-    }
-
-    pub fn wait_for(&self, value: u64) {
-        let mut backoff = crate::window::Backoff::new();
-        while self.poll() < value {
-            backoff.snooze();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,19 +159,6 @@ mod tests {
         b[0].wait();
         b[0].wait();
         assert_eq!(b[0].epoch(), 2);
-    }
-
-    #[test]
-    fn flag_signals_across_threads() {
-        let page = ShmMemory::new(64);
-        let tx = Flag::signaller(page.remote(0, 64), 8);
-        let rx = Flag::waiter(page.local(0, 64), 8);
-        let t = std::thread::spawn(move || {
-            tx.signal(42);
-        });
-        rx.wait_for(42);
-        assert_eq!(rx.poll(), 42);
-        t.join().unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `[0]` ring credit (consumed seq), `[8]` rendezvous credit (consumed
 //! bytes).
 
-use crate::ring::{RingError, RingReceiver, RingSender, SendMode, MAX_EAGER, RING_BYTES};
+use crate::ring::{RingReceiver, RingSender, SendMode, MAX_EAGER, RING_BYTES};
 use crate::window::{LocalWindow, RemoteWindow};
 use tcc_fabric::protocol_violation;
 
@@ -218,15 +218,7 @@ impl<R: RemoteWindow + Clone, L: LocalWindow + Clone> Sender<R, L> {
             self.frame_scratch.clear();
             self.frame_scratch.push(TAG_INLINE);
             self.frame_scratch.extend_from_slice(msg);
-            return match self.ring.try_send(&self.frame_scratch) {
-                Ok(()) => Ok(()),
-                Err(RingError::WouldBlock) => Err(SendError::WouldBlock),
-                // The inline frame is < MAX_EAGER + 1 by the guard above;
-                // a TooLarge here means the ring was built undersized.
-                Err(RingError::TooLarge(n)) => {
-                    protocol_violation!("ring rejected {n} B inline frame under MAX_EAGER")
-                }
-            };
+            return self.ring.try_send(&self.frame_scratch);
         }
         if msg.len() > MAX_MESSAGE {
             return Err(SendError::TooLarge(msg.len()));
@@ -260,18 +252,10 @@ impl<R: RemoteWindow + Clone, L: LocalWindow + Clone> Sender<R, L> {
         desc[0] = TAG_RDVZ;
         desc[1..9].copy_from_slice(&off.to_le_bytes());
         desc[9..17].copy_from_slice(&(len).to_le_bytes());
-        match self.ring.try_send(&desc) {
-            Ok(()) => {
-                self.rdvz_tail = start + len;
-                self.rendezvous_sends += 1;
-                Ok(())
-            }
-            Err(RingError::WouldBlock) => Err(SendError::WouldBlock),
-            // A 17 B descriptor never exceeds a well-formed ring's slot.
-            Err(RingError::TooLarge(n)) => {
-                protocol_violation!("ring rejected {n} B rendezvous descriptor")
-            }
-        }
+        self.ring.try_send(&desc)?;
+        self.rdvz_tail = start + len;
+        self.rendezvous_sends += 1;
+        Ok(())
     }
 
     /// Blocking send. Uses exponential backoff while out of credit.
@@ -284,10 +268,6 @@ impl<R: RemoteWindow + Clone, L: LocalWindow + Clone> Sender<R, L> {
                 other => return other,
             }
         }
-    }
-
-    pub fn mode(&self) -> SendMode {
-        self.ring.mode
     }
 }
 
@@ -371,30 +351,23 @@ impl<L: LocalWindow + Clone, R: RemoteWindow + Clone> Receiver<L, R> {
     pub fn flush_credit(&mut self) {
         self.ring.flush_credit();
     }
-
-    pub fn received_messages(&self) -> u64 {
-        self.ring.received_messages
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::inproc::{InprocLocal, InprocMemory, InprocRemote};
+    use crate::shm::{ShmLocal, ShmMemory, ShmRemote};
 
-    type TxRx = (
-        Sender<InprocRemote, InprocLocal>,
-        Receiver<InprocLocal, InprocRemote>,
-    );
+    type TxRx = (Sender<ShmRemote, ShmLocal>, Receiver<ShmLocal, ShmRemote>);
 
     fn make(mode: SendMode) -> TxRx {
-        let data = InprocMemory::new(CHANNEL_BYTES as usize);
-        let credits = InprocMemory::new(CREDIT_BYTES as usize);
+        let data = ShmMemory::new(CHANNEL_BYTES as usize);
+        let credits = ShmMemory::new(CREDIT_BYTES as usize);
         channel(
-            data.remote(),
-            credits.local(),
-            data.local(),
-            credits.remote(),
+            data.remote(0, CHANNEL_BYTES),
+            credits.local(0, CREDIT_BYTES),
+            data.local(0, CHANNEL_BYTES),
+            credits.remote(0, CREDIT_BYTES),
             mode,
         )
     }

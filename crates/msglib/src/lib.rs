@@ -5,12 +5,14 @@
 //! * [`window`] — the driver abstraction: write-only [`RemoteWindow`]s
 //!   (TCCluster links cannot route responses, so remote *loads* do not
 //!   exist in the type system) and pollable uncacheable [`LocalWindow`]s.
-//! * [`ring`] — the eager path: 4 KB rings of self-validating 72 B cells,
-//!   header-written-last, credits returned by remote store.
-//! * [`channel`](mod@channel) — the full channel: eager ring + one-sided rendezvous for
-//!   large messages, with strictly- and weakly-ordered send modes (the two
-//!   mechanisms of paper Fig. 6).
-//! * [`barrier`] — dissemination barriers and flags from remote stores.
+//! * [`channel`](mod@channel) — the one send/receive path: eager ring +
+//!   one-sided rendezvous for large messages, with strictly- and
+//!   weakly-ordered send modes (the two mechanisms of paper Fig. 6).
+//! * [`ring`] — the channel's eager path: 4 KB rings of self-validating
+//!   72 B cells, header-written-last, credits returned by remote store.
+//!   Its halves are crate-private; the module exports the ring geometry
+//!   and [`SendMode`].
+//! * [`barrier`] — dissemination barriers from remote stores (no flags).
 //! * [`handoff`] — the sharded event engine's executive primitives:
 //!   one-slot SPSC mailboxes that move cross-shard events without
 //!   per-event locking, and the spinning barrier its workers meet at.
@@ -27,13 +29,11 @@ pub mod shm;
 pub(crate) mod sync;
 pub mod window;
 
-pub use barrier::{Barrier, Flag, SYNC_BYTES};
+pub use barrier::{Barrier, SYNC_BYTES};
 pub use channel::{
     channel, Receiver, SendError, Sender, CHANNEL_BYTES, CREDIT_BYTES, MAX_MESSAGE, RDVZ_BYTES,
 };
 pub use handoff::{BatchRing, EpochBarrier};
-pub use ring::{
-    RingError, RingReceiver, RingSender, SendMode, CELL_PAYLOAD, MAX_EAGER, RING_BYTES,
-};
+pub use ring::{SendMode, CELL_PAYLOAD, MAX_EAGER, RING_BYTES};
 pub use shm::{ShmLocal, ShmMemory, ShmRemote};
 pub use window::{Backoff, LocalWindow, RemoteWindow};

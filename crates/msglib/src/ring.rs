@@ -1,5 +1,9 @@
 //! The eager message path: a ring of self-validating 72-byte cells.
 //!
+//! The ring halves are the channel's internals: programs send and
+//! receive through [`channel`](mod@crate::channel), which frames every
+//! message below [`MAX_EAGER`] onto this ring.
+//!
 //! Layout (paper §IV.A: "each node has to allocate a 4 KB ring buffer for
 //! each endpoint it wants to communicate with"):
 //!
@@ -19,7 +23,9 @@
 //! the receiver posts its consumed sequence number back into the sender's
 //! memory every [`CREDIT_INTERVAL`] cells.
 
+use crate::channel::SendError;
 use crate::window::{LocalWindow, RemoteWindow};
+use tcc_fabric::protocol_violation;
 
 /// Payload bytes per cell (one write-combining buffer / HT max packet).
 pub const CELL_PAYLOAD: usize = 64;
@@ -66,33 +72,21 @@ pub enum SendMode {
     WeaklyOrdered,
 }
 
-/// Errors surfaced by the eager path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingError {
-    /// Message exceeds [`MAX_EAGER`]; use the rendezvous path.
-    TooLarge(usize),
-    /// Not enough credit: the receiver has not freed enough cells yet.
-    WouldBlock,
-}
-
 /// Sending half (lives on the sender node; writes into the receiver's
 /// exported ring, reads its own credit cell).
 #[derive(Debug)]
-pub struct RingSender<R: RemoteWindow, L: LocalWindow> {
+pub(crate) struct RingSender<R: RemoteWindow, L: LocalWindow> {
     ring: R,
     /// Local cell the receiver posts consumed-sequence credits into.
     credit: L,
-    pub mode: SendMode,
+    mode: SendMode,
     next_seq: u64,
     credited: u64,
-    pub sent_messages: u64,
-    pub sent_cells: u64,
-    pub credit_stalls: u64,
 }
 
 impl<R: RemoteWindow, L: LocalWindow> RingSender<R, L> {
     #[must_use]
-    pub fn new(ring: R, credit: L, mode: SendMode) -> Self {
+    pub(crate) fn new(ring: R, credit: L, mode: SendMode) -> Self {
         assert!(ring.len() >= RING_BYTES as u64, "ring window too small");
         assert!(credit.len() >= 8);
         RingSender {
@@ -101,14 +95,11 @@ impl<R: RemoteWindow, L: LocalWindow> RingSender<R, L> {
             mode,
             next_seq: 0,
             credited: 0,
-            sent_messages: 0,
-            sent_cells: 0,
-            credit_stalls: 0,
         }
     }
 
     /// Cells currently available without blocking.
-    pub fn free_cells(&mut self) -> u64 {
+    pub(crate) fn free_cells(&mut self) -> u64 {
         // Refresh credit from the local cell (receiver stores it remotely).
         let seen = self.credit.load_u64(0);
         debug_assert!(seen <= self.next_seq, "credit from the future");
@@ -116,15 +107,17 @@ impl<R: RemoteWindow, L: LocalWindow> RingSender<R, L> {
         RING_CELLS as u64 - (self.next_seq - self.credited)
     }
 
-    /// Try to send one message on the eager path.
-    pub fn try_send(&mut self, msg: &[u8]) -> Result<(), RingError> {
+    /// Try to send one frame on the eager path. The channel routes every
+    /// frame above [`MAX_EAGER`] to the rendezvous path, so an oversize
+    /// frame here is a channel bug.
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    pub(crate) fn try_send(&mut self, msg: &[u8]) -> Result<(), SendError> {
         if msg.len() > MAX_EAGER {
-            return Err(RingError::TooLarge(msg.len()));
+            protocol_violation!("{} B frame exceeds the {MAX_EAGER} B eager ring", msg.len());
         }
         let cells = msg.len().div_ceil(CELL_PAYLOAD).max(1) as u64;
         if self.free_cells() < cells {
-            self.credit_stalls += 1;
-            return Err(RingError::WouldBlock);
+            return Err(SendError::WouldBlock);
         }
         let total = cells as usize;
         for (i, chunk) in msg
@@ -144,34 +137,20 @@ impl<R: RemoteWindow, L: LocalWindow> RingSender<R, L> {
                 self.ring.fence();
             }
             self.next_seq += 1;
-            self.sent_cells += 1;
         }
         if self.mode == SendMode::WeaklyOrdered {
             // One fence per message finalises the transaction (the paper's
             // "synchronization operation that can finalize the transaction").
             self.ring.fence();
         }
-        self.sent_messages += 1;
         Ok(())
-    }
-
-    /// Blocking send: exponential backoff while waiting on credit.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    pub fn send(&mut self, msg: &[u8]) -> Result<(), RingError> {
-        let mut backoff = crate::window::Backoff::new();
-        loop {
-            match self.try_send(msg) {
-                Err(RingError::WouldBlock) => backoff.snooze(),
-                other => return other,
-            }
-        }
     }
 }
 
 /// Receiving half (lives on the receiver node; polls its own exported
 /// ring, posts credits into the sender's memory).
 #[derive(Debug)]
-pub struct RingReceiver<L: LocalWindow, R: RemoteWindow> {
+pub(crate) struct RingReceiver<L: LocalWindow, R: RemoteWindow> {
     ring: L,
     /// Remote cell in the sender's memory for credit returns.
     credit: R,
@@ -179,13 +158,11 @@ pub struct RingReceiver<L: LocalWindow, R: RemoteWindow> {
     last_credit_sent: u64,
     /// Partially received multi-cell message.
     partial: Vec<u8>,
-    pub received_messages: u64,
-    pub polls: u64,
 }
 
 impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
     #[must_use]
-    pub fn new(ring: L, credit: R) -> Self {
+    pub(crate) fn new(ring: L, credit: R) -> Self {
         assert!(ring.len() >= RING_BYTES as u64);
         assert!(credit.len() >= 8);
         RingReceiver {
@@ -194,19 +171,7 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
             expect_seq: 0,
             last_credit_sent: 0,
             partial: Vec::new(),
-            received_messages: 0,
-            polls: 0,
         }
-    }
-
-    /// Poll once: returns a complete message if one is ready.
-    ///
-    /// Allocating convenience wrapper over [`try_recv_into`].
-    ///
-    /// [`try_recv_into`]: RingReceiver::try_recv_into
-    pub fn try_recv(&mut self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        self.try_recv_into(&mut out).map(|_| out)
     }
 
     /// Poll once, delivering a complete message into `out` (cleared
@@ -216,9 +181,9 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
     /// buffer and `out` swap roles on every delivery, so once both have
     /// grown to the working-set message size no further heap traffic
     /// occurs.
-    pub fn try_recv_into(&mut self, out: &mut Vec<u8>) -> Option<usize> {
+    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
+    pub(crate) fn try_recv_into(&mut self, out: &mut Vec<u8>) -> Option<usize> {
         loop {
-            self.polls += 1;
             let cell = (self.expect_seq % RING_CELLS as u64) as usize;
             let base = (cell * CELL_BYTES) as u64;
             let header = self.ring.load_u64(base + CELL_PAYLOAD as u64);
@@ -249,7 +214,6 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
             self.expect_seq += 1;
             self.maybe_return_credit();
             if last {
-                self.received_messages += 1;
                 // Hand the accumulated message to the caller and adopt
                 // their buffer as the next partial (capacity ping-pong).
                 std::mem::swap(&mut self.partial, out);
@@ -257,26 +221,6 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
                 return Some(out.len());
             }
             // Multi-cell message: continue consuming cells.
-        }
-    }
-
-    /// Spin until a message arrives.
-    pub fn recv(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.recv_into(&mut out);
-        out
-    }
-
-    /// Spin until a message arrives, delivering into `out`. Returns the
-    /// message length. Uses exponential backoff while idle.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    pub fn recv_into(&mut self, out: &mut Vec<u8>) -> usize {
-        let mut backoff = crate::window::Backoff::new();
-        loop {
-            if let Some(n) = self.try_recv_into(out) {
-                return n;
-            }
-            backoff.snooze();
         }
     }
 
@@ -289,7 +233,7 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
     }
 
     /// Force a credit update (e.g. before idling).
-    pub fn flush_credit(&mut self) {
+    pub(crate) fn flush_credit(&mut self) {
         self.credit.store_u64(0, self.expect_seq);
         self.credit.fence();
         self.last_credit_sent = self.expect_seq;
@@ -299,20 +243,25 @@ impl<L: LocalWindow, R: RemoteWindow> RingReceiver<L, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::inproc::InprocMemory;
+    use crate::shm::{ShmLocal, ShmMemory, ShmRemote};
+    use proptest::prelude::*;
 
-    fn channel(
-        mode: SendMode,
-    ) -> (
-        RingSender<crate::window::inproc::InprocRemote, crate::window::inproc::InprocLocal>,
-        RingReceiver<crate::window::inproc::InprocLocal, crate::window::inproc::InprocRemote>,
-    ) {
-        let ring = InprocMemory::new(RING_BYTES);
-        let credit = InprocMemory::new(8);
+    type Tx = RingSender<ShmRemote, ShmLocal>;
+    type Rx = RingReceiver<ShmLocal, ShmRemote>;
+
+    fn channel(mode: SendMode) -> (Tx, Rx) {
+        let ring = ShmMemory::new(RING_BYTES);
+        let credit = ShmMemory::new(8);
         (
-            RingSender::new(ring.remote(), credit.local(), mode),
-            RingReceiver::new(ring.local(), credit.remote()),
+            RingSender::new(ring.remote(0, RING_BYTES as u64), credit.local(0, 8), mode),
+            RingReceiver::new(ring.local(0, RING_BYTES as u64), credit.remote(0, 8)),
         )
+    }
+
+    /// One poll; `Some` owns the delivered message.
+    fn poll(rx: &mut Rx) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        rx.try_recv_into(&mut out).map(|_| out)
     }
 
     #[test]
@@ -328,18 +277,18 @@ mod tests {
     #[test]
     fn single_cell_message() {
         let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!(poll(&mut rx), None);
         tx.try_send(b"hello tcc").unwrap();
-        assert_eq!(rx.try_recv(), Some(b"hello tcc".to_vec()));
-        assert_eq!(rx.try_recv(), None);
-        assert_eq!(tx.sent_cells, 1);
+        assert_eq!(tx.free_cells(), RING_CELLS as u64 - 1, "one cell");
+        assert_eq!(poll(&mut rx), Some(b"hello tcc".to_vec()));
+        assert_eq!(poll(&mut rx), None);
     }
 
     #[test]
     fn empty_message_is_a_valid_signal() {
         let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
         tx.try_send(b"").unwrap();
-        assert_eq!(rx.try_recv(), Some(vec![]));
+        assert_eq!(poll(&mut rx), Some(vec![]));
     }
 
     #[test]
@@ -347,8 +296,8 @@ mod tests {
         let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
         let msg: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         tx.try_send(&msg).unwrap();
-        assert_eq!(tx.sent_cells, 4, "200 B = 4 cells");
-        assert_eq!(rx.try_recv(), Some(msg));
+        assert_eq!(tx.free_cells(), RING_CELLS as u64 - 4, "200 B = 4 cells");
+        assert_eq!(poll(&mut rx), Some(msg));
     }
 
     #[test]
@@ -362,21 +311,24 @@ mod tests {
         // corrupt the second header to "not yet written", it must block.
         // (Direct check of the first-cell path: fresh channel, craft cell0
         // only.)
-        let _ = rx.try_recv();
+        let _ = poll(&mut rx);
         let (tx2, mut rx2) = channel(SendMode::WeaklyOrdered);
         drop(tx2);
-        assert_eq!(rx2.try_recv(), None);
+        assert_eq!(poll(&mut rx2), None);
     }
 
     #[test]
     fn many_messages_wrap_the_ring() {
         let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
+        let mut delivered = 0u64;
         for round in 0..(RING_CELLS * 3) as u64 {
-            let body = round.to_le_bytes();
-            tx.send(&body).unwrap();
-            assert_eq!(rx.recv(), body.to_vec(), "round {round}");
+            tx.try_send(&round.to_le_bytes()).unwrap();
+            while let Some(got) = poll(&mut rx) {
+                assert_eq!(got, delivered.to_le_bytes(), "round {round}");
+                delivered += 1;
+            }
         }
-        assert_eq!(rx.received_messages, (RING_CELLS * 3) as u64);
+        assert_eq!(delivered, (RING_CELLS * 3) as u64);
     }
 
     #[test]
@@ -386,41 +338,38 @@ mod tests {
         for _ in 0..RING_CELLS {
             tx.try_send(&[1u8; 8]).unwrap();
         }
-        assert_eq!(tx.try_send(&[2u8; 8]), Err(RingError::WouldBlock));
-        assert!(tx.credit_stalls > 0);
+        assert_eq!(tx.free_cells(), 0);
+        assert_eq!(tx.try_send(&[2u8; 8]), Err(SendError::WouldBlock));
         // Consume everything; credits flow back (interval divides evenly).
         for _ in 0..RING_CELLS {
-            assert!(rx.try_recv().is_some());
+            assert!(poll(&mut rx).is_some());
         }
         assert!(tx.try_send(&[3u8; 8]).is_ok(), "credit recovered");
     }
 
     #[test]
+    #[should_panic(expected = "protocol violation")]
     fn oversized_goes_to_rendezvous() {
         let (mut tx, _) = channel(SendMode::WeaklyOrdered);
-        let too_big = vec![0u8; MAX_EAGER + 1];
-        assert_eq!(
-            tx.try_send(&too_big),
-            Err(RingError::TooLarge(MAX_EAGER + 1))
-        );
+        let _ = tx.try_send(&vec![0u8; MAX_EAGER + 1]);
     }
 
     #[test]
     fn strict_mode_delivers_identically() {
         let (mut tx, mut rx) = channel(SendMode::StrictlyOrdered);
         // Fill up to ring capacity without consuming (single-threaded: a
-        // blocking send beyond RING_CELLS here would never be drained)…
+        // send beyond RING_CELLS here would never be drained)…
         let burst = RING_CELLS as u64 - 4;
         for i in 0..burst {
-            tx.send(&i.to_le_bytes()).unwrap();
+            tx.try_send(&i.to_le_bytes()).unwrap();
         }
         for i in 0..burst {
-            assert_eq!(rx.recv(), i.to_le_bytes().to_vec());
+            assert_eq!(poll(&mut rx), Some(i.to_le_bytes().to_vec()));
         }
         // …then stream many more, alternating.
         for i in 0..200u64 {
-            tx.send(&i.to_le_bytes()).unwrap();
-            assert_eq!(rx.recv(), i.to_le_bytes().to_vec());
+            tx.try_send(&i.to_le_bytes()).unwrap();
+            assert_eq!(poll(&mut rx), Some(i.to_le_bytes().to_vec()));
         }
     }
 
@@ -429,10 +378,79 @@ mod tests {
         let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
         let sizes = [1usize, 64, 65, 128, 13, 200, 0, 64];
         for (i, &s) in sizes.iter().enumerate() {
-            tx.send(&vec![i as u8; s]).unwrap();
+            tx.try_send(&vec![i as u8; s]).unwrap();
         }
         for (i, &s) in sizes.iter().enumerate() {
-            assert_eq!(rx.recv(), vec![i as u8; s], "message {i}");
+            assert_eq!(poll(&mut rx), Some(vec![i as u8; s]), "message {i}");
+        }
+    }
+
+    proptest! {
+        /// The ring delivers any message sequence exactly once, in order,
+        /// under an arbitrary interleaving of send and receive steps.
+        #[test]
+        fn ring_exactly_once_in_order(
+            msgs in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..MAX_EAGER.min(300)),
+                1..60
+            ),
+            recv_bias in 2u8..5,
+        ) {
+            let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
+
+            let mut to_send = msgs.iter();
+            let mut expected = msgs.iter();
+            let mut in_flight = 0usize;
+            let mut step = 0u8;
+            loop {
+                step = step.wrapping_add(1);
+                let prefer_recv = step.is_multiple_of(recv_bias);
+                if !prefer_recv {
+                    if let Some(m) = to_send.clone().next() {
+                        if tx.try_send(m).is_ok() {
+                            to_send.next();
+                            in_flight += 1;
+                            continue;
+                        }
+                    }
+                }
+                if let Some(got) = poll(&mut rx) {
+                    let want = expected.next().expect("no phantom messages");
+                    prop_assert_eq!(&got, want);
+                    in_flight -= 1;
+                } else if let Some(m) = to_send.clone().next() {
+                    // Nothing to receive: make progress by sending even on a
+                    // "prefer receive" step (otherwise a receive-only schedule
+                    // never terminates).
+                    if tx.try_send(m).is_ok() {
+                        to_send.next();
+                        in_flight += 1;
+                    }
+                } else if in_flight == 0 {
+                    break;
+                }
+            }
+            prop_assert!(expected.next().is_none(), "all messages delivered");
+            prop_assert_eq!(poll(&mut rx), None);
+        }
+
+        /// Credits conserve ring capacity: the sender can never have more
+        /// than RING_CELLS cells outstanding, and consuming everything always
+        /// restores full capacity.
+        #[test]
+        fn ring_credit_capacity_invariant(sizes in proptest::collection::vec(0usize..200, 1..80)) {
+            let (mut tx, mut rx) = channel(SendMode::WeaklyOrdered);
+            for s in sizes {
+                let msg = vec![0xAB; s];
+                if tx.try_send(&msg).is_err() {
+                    // Drain and retry once; must succeed with an empty ring.
+                    while poll(&mut rx).is_some() {}
+                    rx.flush_credit();
+                    prop_assert!(tx.free_cells() == RING_CELLS as u64);
+                    prop_assert!(tx.try_send(&msg).is_ok());
+                }
+                prop_assert!(tx.free_cells() <= RING_CELLS as u64);
+            }
         }
     }
 }

@@ -184,7 +184,8 @@ impl LocalWindow for ShmLocal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{RingReceiver, RingSender, SendMode, RING_BYTES};
+    use crate::channel::{channel, CHANNEL_BYTES, CREDIT_BYTES};
+    use crate::ring::{SendMode, MAX_EAGER};
 
     #[test]
     fn unaligned_byte_ranges_round_trip() {
@@ -227,15 +228,19 @@ mod tests {
     fn threaded_ring_stress() {
         // The load-bearing test: a real producer thread and consumer
         // thread running the eager ring protocol over shared memory.
-        let ring = ShmMemory::new(RING_BYTES);
-        let credit = ShmMemory::new(8);
-        let mut tx = RingSender::new(
-            ring.remote(0, RING_BYTES as u64),
-            credit.local(0, 8),
+        // Every message is below MAX_EAGER, so the channel frames each
+        // one onto its ring.
+        let chan = ShmMemory::new(CHANNEL_BYTES as usize);
+        let creds = ShmMemory::new(CREDIT_BYTES as usize);
+        let (mut tx, mut rx) = channel(
+            chan.remote(0, CHANNEL_BYTES),
+            creds.local(0, CREDIT_BYTES),
+            chan.local(0, CHANNEL_BYTES),
+            creds.remote(0, CREDIT_BYTES),
             SendMode::WeaklyOrdered,
         );
-        let mut rx = RingReceiver::new(ring.local(0, RING_BYTES as u64), credit.remote(0, 8));
         const N: u64 = 20_000;
+        const _: () = assert!(190 + 8 < MAX_EAGER);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
                 let len = (i % 190) as usize;

@@ -121,78 +121,11 @@ pub trait LocalWindow {
     }
 }
 
-/// A trivially in-process window pair over one buffer — the unit-test
-/// backend (single-threaded; the threaded backend is [`crate::shm`]).
-pub mod inproc {
-    use super::{LocalWindow, RemoteWindow};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// Shared backing store.
-    #[derive(Debug, Clone)]
-    pub struct InprocMemory {
-        bytes: Rc<RefCell<Vec<u8>>>,
-    }
-
-    impl InprocMemory {
-        pub fn new(len: usize) -> Self {
-            InprocMemory {
-                bytes: Rc::new(RefCell::new(vec![0; len])),
-            }
-        }
-
-        pub fn remote(&self) -> InprocRemote {
-            InprocRemote { mem: self.clone() }
-        }
-
-        pub fn local(&self) -> InprocLocal {
-            InprocLocal { mem: self.clone() }
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    pub struct InprocRemote {
-        mem: InprocMemory,
-    }
-
-    #[derive(Debug, Clone)]
-    pub struct InprocLocal {
-        mem: InprocMemory,
-    }
-
-    impl RemoteWindow for InprocRemote {
-        fn len(&self) -> u64 {
-            self.mem.bytes.borrow().len() as u64
-        }
-
-        fn store(&self, offset: u64, data: &[u8]) {
-            let mut b = self.mem.bytes.borrow_mut();
-            let o = offset as usize;
-            assert!(o + data.len() <= b.len(), "remote store out of window");
-            b[o..o + data.len()].copy_from_slice(data);
-        }
-
-        fn fence(&self) {}
-    }
-
-    impl LocalWindow for InprocLocal {
-        fn len(&self) -> u64 {
-            self.mem.bytes.borrow().len() as u64
-        }
-
-        fn load(&self, offset: u64, buf: &mut [u8]) {
-            let b = self.mem.bytes.borrow();
-            let o = offset as usize;
-            assert!(o + buf.len() <= b.len(), "local load out of window");
-            buf.copy_from_slice(&b[o..o + buf.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::inproc::InprocMemory;
     use super::*;
+    use crate::channel::{LocalAt, RemoteAt};
+    use crate::shm::ShmMemory;
 
     #[test]
     fn backoff_schedule_doubles_then_yields() {
@@ -217,9 +150,9 @@ mod tests {
 
     #[test]
     fn store_load_round_trip() {
-        let mem = InprocMemory::new(128);
-        let r = mem.remote();
-        let l = mem.local();
+        let mem = ShmMemory::new(128);
+        let r = RemoteAt::new(mem.remote(0, 128), 0, 128);
+        let l = LocalAt::new(mem.local(0, 128), 0, 128);
         r.store(16, &[1, 2, 3]);
         let mut buf = [0u8; 3];
         l.load(16, &mut buf);
@@ -228,19 +161,22 @@ mod tests {
 
     #[test]
     fn u64_helpers_little_endian() {
-        let mem = InprocMemory::new(64);
-        mem.remote().store_u64(8, 0x0102_0304_0506_0708);
-        assert_eq!(mem.local().load_u64(8), 0x0102_0304_0506_0708);
+        // RemoteAt/LocalAt keep the traits' default store_u64/load_u64.
+        let mem = ShmMemory::new(64);
+        let r = RemoteAt::new(mem.remote(0, 64), 0, 64);
+        let l = LocalAt::new(mem.local(0, 64), 0, 64);
+        r.store_u64(8, 0x0102_0304_0506_0708);
+        assert_eq!(l.load_u64(8), 0x0102_0304_0506_0708);
         let mut raw = [0u8; 8];
-        mem.local().load(8, &mut raw);
+        l.load(8, &mut raw);
         assert_eq!(raw[0], 0x08, "little-endian");
     }
 
     #[test]
     #[should_panic(expected = "out of window")]
     fn oob_store_panics() {
-        let mem = InprocMemory::new(16);
-        mem.remote().store(15, &[0, 0]);
+        let mem = ShmMemory::new(16);
+        mem.remote(0, 16).store(15, &[0, 0]);
     }
 
     #[test]
@@ -249,7 +185,7 @@ mod tests {
         // only store/fence. (If a `load` were added this test file is the
         // reminder of why it must not be.)
         fn takes_remote<R: RemoteWindow>(_: &R) {}
-        let mem = InprocMemory::new(16);
-        takes_remote(&mem.remote());
+        let mem = ShmMemory::new(16);
+        takes_remote(&mem.remote(0, 16));
     }
 }

@@ -10,12 +10,10 @@
 //!
 //! * the release-publication protocol of `ShmRemote::store`/`store_u64`
 //!   makes a message's payload visible before its header (the invariant
-//!   the poll loop in `RingReceiver` depends on);
-//! * the eager ring's Sender/Receiver half split delivers messages intact
-//!   across real threads;
-//! * the framed channel halves (PR 1's Sender/Receiver split) preserve
-//!   message boundaries;
-//! * `Flag` and the dissemination `Barrier` synchronise two ranks;
+//!   the eager ring's poll loop depends on);
+//! * the channel's Sender/Receiver halves, with their eager ring, keep
+//!   message boundaries and order across threads in both send modes;
+//! * the dissemination `Barrier` synchronises two ranks;
 //! * the event engine's `EpochBarrier` publishes each thread's
 //!   pre-barrier store to the other, epoch after epoch;
 //! * one `BatchRing` slot suffices under the epoch protocol: every
@@ -26,9 +24,11 @@
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use tcc_msglib::channel::{channel, CHANNEL_BYTES, CREDIT_BYTES};
-use tcc_msglib::ring::{RingReceiver, RingSender, SendMode, RING_BYTES};
+use tcc_msglib::ring::SendMode;
 use tcc_msglib::shm::ShmMemory;
-use tcc_msglib::{Barrier, BatchRing, EpochBarrier, Flag, LocalWindow, RemoteWindow, SYNC_BYTES};
+use tcc_msglib::{
+    Backoff, Barrier, BatchRing, EpochBarrier, LocalWindow, RemoteWindow, SYNC_BYTES,
+};
 
 /// Payload stored before a flag must be visible after observing the flag:
 /// the store_u64 release / load_u64 acquire pair is the ring protocol's
@@ -43,8 +43,10 @@ fn flag_publication_orders_payload() {
             remote.store(0, &[0xAB; 8]);
             remote.store_u64(8, 1); // release point
         });
-        let flag = Flag::waiter(local.clone(), 8);
-        flag.wait_for(1);
+        let mut backoff = Backoff::new();
+        while local.load_u64(8) < 1 {
+            backoff.snooze();
+        }
         let mut payload = [0u8; 8];
         local.load(0, &mut payload);
         assert_eq!(payload, [0xAB; 8], "payload published after header");
@@ -52,49 +54,31 @@ fn flag_publication_orders_payload() {
     });
 }
 
-/// One eager message through the ring's split halves, sender on its own
-/// thread.
-#[test]
-fn ring_halves_deliver_one_message() {
-    loom::model(|| {
-        let ring = ShmMemory::new(RING_BYTES);
-        let credit = ShmMemory::new(8);
-        let mut tx = RingSender::new(
-            ring.remote(0, RING_BYTES as u64),
-            credit.local(0, 8),
-            SendMode::WeaklyOrdered,
-        );
-        let mut rx = RingReceiver::new(ring.local(0, RING_BYTES as u64), credit.remote(0, 8));
-        let producer = loom::thread::spawn(move || {
-            tx.send(&[7, 6, 5]).unwrap();
-        });
-        assert_eq!(rx.recv(), vec![7, 6, 5]);
-        producer.join().unwrap();
-    });
-}
-
-/// Two back-to-back messages stay framed and ordered through the framed
-/// channel halves.
+/// Two back-to-back eager messages stay framed and ordered through the
+/// channel halves, the sender on its own thread, in both send modes:
+/// strict mode fences after every cell, weak mode once per message.
 #[test]
 fn channel_halves_preserve_framing() {
-    loom::model(|| {
-        let chan = ShmMemory::new(CHANNEL_BYTES as usize);
-        let creds = ShmMemory::new(CREDIT_BYTES as usize);
-        let (mut tx, mut rx) = channel(
-            chan.remote(0, CHANNEL_BYTES),
-            creds.local(0, CREDIT_BYTES),
-            chan.local(0, CHANNEL_BYTES),
-            creds.remote(0, CREDIT_BYTES),
-            SendMode::WeaklyOrdered,
-        );
-        let producer = loom::thread::spawn(move || {
-            tx.send(&[1; 5]).unwrap();
-            tx.send(&[2; 9]).unwrap();
+    for mode in [SendMode::StrictlyOrdered, SendMode::WeaklyOrdered] {
+        loom::model(move || {
+            let chan = ShmMemory::new(CHANNEL_BYTES as usize);
+            let creds = ShmMemory::new(CREDIT_BYTES as usize);
+            let (mut tx, mut rx) = channel(
+                chan.remote(0, CHANNEL_BYTES),
+                creds.local(0, CREDIT_BYTES),
+                chan.local(0, CHANNEL_BYTES),
+                creds.remote(0, CREDIT_BYTES),
+                mode,
+            );
+            let producer = loom::thread::spawn(move || {
+                tx.send(&[1; 5]).unwrap();
+                tx.send(&[2; 9]).unwrap();
+            });
+            assert_eq!(rx.recv(), vec![1; 5]);
+            assert_eq!(rx.recv(), vec![2; 9]);
+            producer.join().unwrap();
         });
-        assert_eq!(rx.recv(), vec![1; 5]);
-        assert_eq!(rx.recv(), vec![2; 9]);
-        producer.join().unwrap();
-    });
+    }
 }
 
 /// A two-rank dissemination barrier: a value stored before the barrier on

@@ -255,12 +255,18 @@ fn run_analyzer(root: &Path, opts: &Opts) -> Result<bool, String> {
     Ok(clean)
 }
 
+/// The workspace `cargo xtask` runs in: the nearest ancestor of the
+/// current directory whose `Cargo.toml` declares `[workspace]`. Found at
+/// run time, not from the compile-time manifest path, so a prebuilt
+/// binary carried into a copy of the checkout lints the copy.
 fn workspace_root() -> PathBuf {
-    // crates/xtask/ -> workspace root
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("xtask lives two levels below the workspace root")
+    let cwd = std::env::current_dir().expect("read the current directory");
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .unwrap_or_else(|| panic!("no [workspace] Cargo.toml above {}", cwd.display()))
         .to_path_buf()
 }
 
