@@ -322,14 +322,18 @@ impl PortState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitRec {
     /// Global node index the write committed on.
-    pub node: usize,
+    pub node: u32,
     /// Node-local DRAM offset.
     pub offset: u64,
     /// When the write became visible to polls.
     pub visible: SimTime,
-    /// Payload bytes committed.
-    pub bytes: u64,
+    /// Payload bytes committed: a posted write carries at most 64.
+    pub bytes: u32,
 }
+
+// The commit log is the engine's largest allocation (one record per
+// delivered packet); keep a record at three words.
+const _: () = assert!(std::mem::size_of::<CommitRec>() == 24);
 
 /// One synthetic traffic source: a stream of 64 B posted writes from
 /// `src` into a dedicated window of `dst`'s DRAM, injected as fast as
@@ -859,7 +863,7 @@ impl ShardRun<'_> {
             }
             None => {
                 let vc = packet.vc();
-                let bytes = packet.data.len() as u64;
+                let bytes = packet.data.len() as u32;
                 let outcome = self.nodes[ln]
                     .deliver_routed(now, link, packet, coherent)
                     .unwrap_or_else(|e| {
@@ -902,7 +906,7 @@ impl ShardRun<'_> {
         now: SimTime,
         p: usize,
         vc: VirtualChannel,
-        bytes: u64,
+        bytes: u32,
         outcome: DeliverOutcome,
     ) {
         let has_data = bytes != 0;
@@ -910,7 +914,7 @@ impl ShardRun<'_> {
         match outcome {
             DeliverOutcome::Committed { offset, visible } => {
                 self.schedule_drain(now, p, vc, has_data);
-                let node = self.shard.base + ln;
+                let node = (self.shard.base + ln) as u32;
                 self.shard.commits.push(CommitRec {
                     node,
                     offset,
@@ -1595,9 +1599,9 @@ impl EventEngine {
                 continue;
             }
             let k = ((c.offset - WIN_BASE) / WIN) as usize;
-            if let Some(&g) = by_window[c.node].get(k) {
+            if let Some(&g) = by_window[c.node as usize].get(k) {
                 let a = &mut acc[g];
-                a.0 += c.bytes;
+                a.0 += u64::from(c.bytes);
                 a.1 = a.1.min(c.visible);
                 a.2 = a.2.max(c.visible);
             }
@@ -1978,8 +1982,11 @@ mod tests {
                 let mut first = SimTime::MAX;
                 let mut last = SimTime::ZERO;
                 for c in &engine.commits_log {
-                    if c.node == f.dst && c.offset >= f.win_off && c.offset < f.win_off + f.window {
-                        delivered += c.bytes;
+                    if c.node as usize == f.dst
+                        && c.offset >= f.win_off
+                        && c.offset < f.win_off + f.window
+                    {
+                        delivered += u64::from(c.bytes);
                         first = first.min(c.visible);
                         last = last.max(c.visible);
                     }

@@ -26,7 +26,7 @@ use tcc_firmware::tcc_boot::{boot, BootReport};
 use tcc_firmware::topology::ClusterSpec;
 use tcc_msglib::ring::{CELL_BYTES, CELL_PAYLOAD};
 use tcc_msglib::SendMode;
-use tcc_opteron::{Action, ActionSink, BurstPattern, UarchParams};
+use tcc_opteron::{Action, ActionSink, BurstPattern, StoreOutcome, UarchParams};
 
 /// A booted, simulated TCCluster.
 pub struct SimCluster {
@@ -55,6 +55,12 @@ const LIB_TURNAROUND: Duration = Duration(10_000);
 /// Rendezvous setup cost per large message (zone-credit check, descriptor
 /// composition, library bookkeeping).
 const RDVZ_HANDSHAKE: Duration = Duration(400_000);
+/// Cells a burst issues before its actions are propagated: one 4 KiB page
+/// of payload. Host memory per message is bounded by this window, not by
+/// the message size.
+const BURST_WINDOW_CELLS: usize = 64;
+// An eager message is never split.
+const _: () = assert!(tcc_msglib::MAX_EAGER.div_ceil(CELL_PAYLOAD) <= BURST_WINDOW_CELLS);
 
 impl SimCluster {
     /// Assemble and boot on `engine`; `options` persist across
@@ -169,11 +175,12 @@ impl SimCluster {
     }
 
     /// The one eager-send implementation: a single [`BurstPattern`] issue
-    /// through the node's batched store path, chained on a running issue
-    /// clock (`now` is advanced to where the next message may begin
-    /// issuing). All message payload/header stores and fences — and their
-    /// fabric propagation — happen in one `store_burst` + one `propagate`
-    /// call, with no per-cell buffers or per-store action vectors.
+    /// through [`Self::issue_burst`], chained on a running issue clock
+    /// (`now` is advanced to where the next message may begin issuing).
+    /// An eager message fits one window, so all its payload/header stores
+    /// and fences — and their fabric propagation — happen in one
+    /// `store_burst` + one drain, with no per-cell buffers or per-store
+    /// action vectors.
     fn send_eager_at(
         &mut self,
         node: usize,
@@ -198,11 +205,50 @@ impl SimCluster {
             wrap_bytes: 0,
         };
         let start = *now;
-        self.sink.clear();
-        let out = self.platform.nodes[node].store_burst(*now, base, &pattern, len, &mut self.sink);
+        let (out, visible) = self.issue_burst(node, *now, base, &pattern, len);
         *now = out.issued;
-        let visible = start.max(self.drain_visible(node));
-        (start.max(out.retire), visible)
+        (start.max(out.retire), start.max(visible))
+    }
+
+    /// Issue a `len`-byte burst in `pattern` from `node` at `now`, window
+    /// by window: [`BURST_WINDOW_CELLS`] cells into the scratch sink, then
+    /// [`Self::drain_visible`]. Returns the whole burst's outcome and its
+    /// latest locally visible time.
+    ///
+    /// Timing equals one `store_burst` over the whole message: every burst
+    /// goes to one destination, so each resource on its route sees its
+    /// transfers in issue order either way. Event mode only injects each
+    /// window; the engine holds the packets until [`Self::settle`].
+    fn issue_burst(
+        &mut self,
+        node: usize,
+        now: SimTime,
+        base: u64,
+        pattern: &BurstPattern,
+        len: usize,
+    ) -> (StoreOutcome, SimTime) {
+        let cells = pattern.cells(len);
+        let mut out = StoreOutcome {
+            issued: now,
+            retire: now,
+        };
+        let mut visible = SimTime::ZERO;
+        self.sink.clear();
+        for first in (0..cells).step_by(BURST_WINDOW_CELLS) {
+            let window = first..cells.min(first + BURST_WINDOW_CELLS);
+            let w = self.platform.nodes[node].store_burst(
+                out.issued,
+                base,
+                pattern,
+                len,
+                window,
+                &mut self.sink,
+            );
+            out.issued = w.issued;
+            out.retire = out.retire.max(w.retire);
+            visible = visible.max(self.drain_visible(node));
+        }
+        (out, visible)
     }
 
     /// Move everything in the scratch sink into the fabric and return the
@@ -436,9 +482,7 @@ impl SimCluster {
         let mut sum_ps = 0.0;
         for _ in 0..iters {
             let t0 = t + LIB_SEND_OVERHEAD;
-            self.sink.clear();
-            let out = self.platform.nodes[a].store_burst(t0, dst, pattern, len, &mut self.sink);
-            let visible = self.drain_visible(a);
+            let (out, visible) = self.issue_burst(a, t0, dst, pattern, len);
             let fin = self.message_stamp(t0.max(out.retire), visible);
             sum_ps += (fin - t0).picos() as f64;
             t = fin + Duration::from_micros(2);
@@ -479,12 +523,10 @@ impl SimCluster {
             final_fence: false,
             wrap_bytes: tcc_msglib::RDVZ_BYTES,
         };
-        self.sink.clear();
-        let out =
-            self.platform.nodes[node].store_burst(now, zone_base, &pattern, len, &mut self.sink);
+        let (out, visible) = self.issue_burst(node, now, zone_base, &pattern, len);
         now = out.issued;
         let mut retire = start.max(out.retire);
-        let mut visible = start.max(self.drain_visible(node));
+        let mut visible = start.max(visible);
         // Descriptor through the ring (one header-sized store + fence).
         let out =
             self.platform.nodes[node].store(now, zone_base - 0x1000, &[1u8; 8], &mut self.sink);
@@ -540,7 +582,7 @@ fn eager_delivered_goodput(commits: &[CommitRec], floor: usize, size: usize) -> 
     let app_frac = size as f64 / (size + 8 * cells) as f64;
     let mut vis: Vec<(SimTime, u64)> = commits[floor..]
         .iter()
-        .map(|c| (c.visible, c.bytes))
+        .map(|c| (c.visible, u64::from(c.bytes)))
         .collect();
     vis.sort();
     assert!(vis.len() >= 4, "not enough deliveries to measure");

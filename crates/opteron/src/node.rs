@@ -8,9 +8,9 @@
 //!
 //! The store/deliver path is allocation-free in steady state: callers
 //! provide a reusable [`ActionSink`], packet payloads come from a per-node
-//! [`PayloadPool`], and whole messages can be
-//! issued with one [`Node::store_burst`] call instead of a store-per-cell
-//! driver loop.
+//! [`PayloadPool`], and a message's cells can be
+//! issued with [`Node::store_burst`] calls, one per window of cells,
+//! instead of a store-per-cell driver loop.
 
 use crate::mem::MemoryController;
 use crate::mtrr::{MemType, Mtrrs};
@@ -20,6 +20,7 @@ use crate::pool::PayloadPool;
 use crate::regs::{LinkId, NodeId, NodeRegs, LINKS_PER_NODE};
 use crate::wc::{Flush, WcBuffers};
 use std::collections::VecDeque;
+use std::ops::Range;
 use tcc_fabric::channel::Channel;
 use tcc_fabric::protocol_violation;
 use tcc_fabric::time::{Duration, SimTime};
@@ -149,6 +150,14 @@ pub struct BurstPattern {
     /// Wrap cell addresses at `base + wrap_bytes` (0 = no wrap); used by
     /// rendezvous payloads lapping their landing zone.
     pub wrap_bytes: u64,
+}
+
+impl BurstPattern {
+    /// Cells a `len`-byte message occupies. At least one: a zero-length
+    /// message still issues its header store.
+    pub fn cells(&self, len: usize) -> usize {
+        len.div_ceil(self.cell_payload).max(1)
+    }
 }
 
 /// One simulated Opteron package.
@@ -339,7 +348,7 @@ impl Node {
         }
     }
 
-    /// Issue a whole message as one call: `len` payload bytes split into
+    /// Issue cells `cells` of a message: `len` payload bytes split into
     /// `pattern.cell_payload`-sized cells at `pattern.cell_stride`,
     /// optionally followed by a per-cell header store, fenced per the
     /// pattern. The issue clock chains through every store exactly as a
@@ -347,9 +356,11 @@ impl Node {
     /// would chain it, so timing is identical — but the driver loop, its
     /// per-cell payload buffers, and its per-store action vectors are gone.
     ///
-    /// A message with `len == 0` still issues one (empty) cell so the
-    /// header store happens — a zero-length eager message is a real
-    /// message.
+    /// `cells` is a window of `0..pattern.cells(len)`. A caller may issue
+    /// a message in consecutive windows, chaining each on the previous
+    /// window's `issued` and draining `sink` in between: cell addresses,
+    /// chunk sizes and fences depend on the absolute cell index, and the
+    /// `final_fence` fires only with the window that holds the last cell.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     pub fn store_burst(
         &mut self,
@@ -357,17 +368,20 @@ impl Node {
         base: u64,
         pattern: &BurstPattern,
         len: usize,
+        cells: Range<usize>,
         sink: &mut ActionSink,
     ) -> StoreOutcome {
         let cp = pattern.cell_payload;
         assert!(cp > 0 && cp <= 64, "cells are at most one line");
         assert!(pattern.header_bytes <= 8, "headers are at most 8 B");
+        let total = pattern.cells(len);
+        assert!(cells.end <= total, "cell window past the message");
+        let last = cells.contains(&(total - 1));
         let payload = [pattern.payload_fill; 64];
         let header = [pattern.header_fill; 8];
-        let cells = len.div_ceil(cp).max(1);
         let mut now = now;
         let mut retire = now;
-        for c in 0..cells {
+        for c in cells {
             let lane = (c as u64) * pattern.cell_stride;
             let cell_base = if pattern.wrap_bytes > 0 {
                 base + lane % pattern.wrap_bytes
@@ -396,7 +410,7 @@ impl Node {
                 retire = retire.max(f.retire);
             }
         }
-        if pattern.final_fence {
+        if pattern.final_fence && last {
             let f = self.sfence(now, sink);
             retire = retire.max(f.retire);
         }
@@ -770,7 +784,14 @@ mod tests {
         let len = 200; // 4 cells, short tail
         let mut burst_node = tcc_node();
         let mut sink = ActionSink::new();
-        let out = burst_node.store_burst(SimTime::ZERO, 0x2_0000, &pattern, len, &mut sink);
+        let out = burst_node.store_burst(
+            SimTime::ZERO,
+            0x2_0000,
+            &pattern,
+            len,
+            0..pattern.cells(len),
+            &mut sink,
+        );
 
         let mut loop_node = tcc_node();
         let mut loop_sink = ActionSink::new();
@@ -793,6 +814,55 @@ mod tests {
         assert_eq!(out.issued, now);
         assert_eq!(out.retire, retire);
         assert_eq!(sink.len(), loop_sink.len());
+    }
+
+    #[test]
+    fn final_fence_fires_once_with_the_last_window() {
+        // Ring cells (72 B stride) leave a partial WC line open at every
+        // window boundary, so a fence there would flush extra packets.
+        let fenced = BurstPattern {
+            cell_payload: 64,
+            cell_stride: 72,
+            header_bytes: 8,
+            payload_fill: 0xD5,
+            header_fill: 0xAD,
+            fence_every: 0,
+            final_fence: true,
+            wrap_bytes: 0,
+        };
+        let plain = BurstPattern {
+            final_fence: false,
+            ..fenced
+        };
+        let len = 5 * 64;
+        let mut whole = tcc_node();
+        let mut whole_sink = ActionSink::new();
+        let want = whole.store_burst(SimTime::ZERO, 0x2_0000, &fenced, len, 0..5, &mut whole_sink);
+
+        let (mut a, mut b) = (tcc_node(), tcc_node());
+        let (mut now_a, mut now_b) = (SimTime::ZERO, SimTime::ZERO);
+        let (mut retire, mut actions) = (SimTime::ZERO, 0);
+        for window in [0..2, 2..4, 4..5] {
+            let last = window.end == 5;
+            let (mut sa, mut sb) = (ActionSink::new(), ActionSink::new());
+            let oa = a.store_burst(now_a, 0x2_0000, &fenced, len, window.clone(), &mut sa);
+            let ob = b.store_burst(now_b, 0x2_0000, &plain, len, window, &mut sb);
+            // The trailing fence never advances the issue clock.
+            assert_eq!(oa.issued, ob.issued);
+            if last {
+                assert!(oa.retire >= ob.issued + UarchParams::shanghai().sfence_drain);
+                assert!(sa.len() > sb.len(), "the fence flushes the open tail");
+            } else {
+                assert_eq!(oa.retire, ob.retire, "no fence before the last window");
+                assert_eq!(sa.len(), sb.len());
+            }
+            (now_a, now_b) = (oa.issued, ob.issued);
+            retire = retire.max(oa.retire);
+            actions += sa.len();
+        }
+        assert_eq!(now_a, want.issued);
+        assert_eq!(retire, want.retire);
+        assert_eq!(actions, whole_sink.len());
     }
 
     #[test]

@@ -27,12 +27,13 @@ pub struct PayloadPool {
 /// line keeps every steady-state copy within capacity.
 const MIN_SLAB: usize = 64;
 
-/// Probes per allocation before giving up and growing the pool. A deep
-/// burst (a whole rendezvous message issued before its packets drain)
-/// keeps thousands of slots busy at once; an unbounded scan would make
-/// each allocation O(pool) and the burst quadratic. Bounding the probes
-/// keeps allocation O(1) while steady-state streams still recycle on the
-/// first probe.
+/// Probes per allocation before giving up and growing the pool. Chained
+/// propagation drains a burst every 64 cells, so at most a window of slots
+/// is busy there. An event-mode engine instead holds every injected packet
+/// until it runs: a whole rendezvous message keeps thousands of slots busy
+/// at once, and an unbounded scan would make each allocation O(pool) and
+/// the burst quadratic. Bounding the probes keeps allocation O(1) while
+/// steady-state streams still recycle on the first probe.
 const PROBE_LIMIT: usize = 8;
 
 impl PayloadPool {

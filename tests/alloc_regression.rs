@@ -3,7 +3,8 @@
 //! A counting global allocator proves that steady-state message traffic
 //! performs no heap allocation at all — on the shm channel path (send +
 //! recv_into), on the simulated store/propagate path, and in the event
-//! queue's pop/reschedule loop.
+//! queue's pop/reschedule loop. It also tracks live and peak bytes, which
+//! bound the host memory one simulated message may hold.
 //!
 //! The counter is **thread-local**: the libtest harness's own threads
 //! (the main thread waiting on its event channel, timeout bookkeeping)
@@ -24,26 +25,45 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed. Signed: a block
+    /// allocated on another thread may be freed here.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Highest `LIVE` since the last [`reset_peak`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation (or reallocation) that changes the live size by
+/// `delta` bytes.
+fn bump(delta: i64) {
     // Allocations during TLS teardown (after the slot is destroyed) are
     // not on any measured path; just stop counting them.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    grow(delta);
+}
+
+fn grow(delta: i64) {
+    let Ok(live) = LIVE.try_with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    }) else {
+        return;
+    };
+    let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,6 +73,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+fn live() -> i64 {
+    LIVE.with(|l| l.get())
+}
+
+/// Start a new peak window at the current live size.
+fn reset_peak() {
+    PEAK.with(|p| p.set(live()));
+}
+
+fn peak() -> i64 {
+    PEAK.with(|p| p.get())
 }
 
 #[test]
@@ -260,4 +293,33 @@ fn smoke_all_to_all_resident_dram_is_exact() {
         .map(|n| n.mem.capacity())
         .sum();
     assert_eq!(exported, 32 << 20);
+}
+
+#[test]
+fn rendezvous_peak_heap_does_not_grow_with_message_size() {
+    // Bursts propagate in fixed windows of cells, so the packets, payload
+    // slabs and propagation work list one message holds at a time do not
+    // depend on its size. Issued whole, a 4 MiB message would hold
+    // 65,536 packets at once, about 18 MB above the 64 KiB one.
+    const SLACK: i64 = 16 << 10;
+    let mut cluster = tccluster::TcclusterBuilder::new().build_sim();
+    let mut rise = |size: usize, mode: SendMode| {
+        reset_peak();
+        let base = live();
+        cluster.stream_bandwidth(0, 1, size, mode, 1);
+        peak() - base
+    };
+    for mode in [SendMode::WeaklyOrdered, SendMode::StrictlyOrdered] {
+        // Warm-up: the sink, the pool and the work lists reach their
+        // window-sized capacities, and the simulated DRAM pages of the
+        // whole landing zone, which a larger message laps, exist.
+        rise(tcc_msglib::RDVZ_BYTES as usize, mode);
+        let small = rise(64 << 10, mode);
+        let large = rise(4 << 20, mode);
+        assert!(
+            large <= small + SLACK,
+            "{mode:?}: a 4 MiB rendezvous raised the peak heap by {large} B, \
+             a 64 KiB one by {small} B"
+        );
+    }
 }

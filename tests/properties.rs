@@ -147,7 +147,8 @@ proptest! {
         // Burst side: one call, one propagation.
         let mut sink = tcc_opteron::ActionSink::new();
         let mut b_commits = Vec::new();
-        let out = burst.platform.nodes[0].store_burst(SimTime::ZERO, base, &pattern, len, &mut sink);
+        let out = burst.platform.nodes[0]
+            .store_burst(SimTime::ZERO, base, &pattern, len, 0..pattern.cells(len), &mut sink);
         burst.platform.propagate(0, &mut sink, &mut b_commits);
 
         // Loop side: the equivalent driver loop, propagating per store —
@@ -205,6 +206,99 @@ proptest! {
         prop_assert_eq!(b_mem.capacity(), l_mem.capacity());
         // Every byte of both DRAMs, page by page (an unwritten page is zeros).
         prop_assert!(b_mem.contents_eq(l_mem), "destination memory images diverge");
+    }
+
+    /// A burst issued in windows at random cell boundaries, propagated
+    /// after each window, equals the one-call burst propagated once: the
+    /// same issue/retire times, the same commits in the same order at the
+    /// same times, and byte-identical destination memory. Every case runs
+    /// the four burst shapes the simulator issues. Empty windows are
+    /// allowed and issue nothing.
+    #[test]
+    fn windowed_burst_equals_one_burst_on_platform(
+        len_frac in 0.0f64..1.0,
+        cuts in proptest::collection::vec(0.0f64..1.0, 1..6),
+    ) {
+        use tcc_fabric::time::SimTime;
+        use tcc_opteron::{ActionSink, BurstPattern, MemType, StoreOutcome};
+
+        let eager = BurstPattern {
+            cell_payload: 64,
+            cell_stride: 72,
+            header_bytes: 8,
+            payload_fill: 0xD5,
+            header_fill: 0xAD,
+            fence_every: 0,
+            final_fence: true,
+            wrap_bytes: 0,
+        };
+        let rendezvous = BurstPattern {
+            cell_stride: 64,
+            header_bytes: 0,
+            payload_fill: 0xB6,
+            final_fence: false,
+            wrap_bytes: tcc_msglib::RDVZ_BYTES,
+            ..eager
+        };
+        let rdvz = tcc_msglib::RDVZ_BYTES as usize;
+        // (pattern, len range, map the remote slice UC on the sender)
+        let shapes = [
+            // Ring cells with headers and a tail-pushing fence.
+            (eager, 0..8 << 10, false),
+            // A rendezvous payload lapping its landing zone.
+            (rendezvous, rdvz + 1..rdvz + (8 << 10), false),
+            // Strictly ordered: a fence after every line.
+            (BurstPattern { fence_every: 1, ..rendezvous }, 1..8 << 10, false),
+            // The write-combining ablation: 8 B UC stores.
+            (
+                BurstPattern { cell_payload: 8, cell_stride: 8, wrap_bytes: 0, ..rendezvous },
+                8..2 << 10,
+                true,
+            ),
+        ];
+        for (pattern, lens, uc) in shapes {
+            let len = lens.start + ((lens.end - lens.start) as f64 * len_frac) as usize;
+            let cells = pattern.cells(len);
+            let mut bounds: Vec<usize> =
+                cuts.iter().map(|f| ((cells + 1) as f64 * f) as usize).collect();
+            bounds.extend([0, cells]);
+            bounds.sort_unstable();
+
+            let run = |bounds: &[usize]| {
+                let mut sim = tccluster::TcclusterBuilder::new().build_sim();
+                sim.reset_timebase();
+                let dst = sim.spec().node_base(1, 0);
+                let base = dst + 0x1000;
+                if uc {
+                    // Remap the remote slice UC on the sender, as the ablation does.
+                    let slice = sim.spec().supernode.slice_bytes();
+                    let mtrrs = &mut sim.platform.nodes[0].mtrrs;
+                    mtrrs.clear();
+                    mtrrs.program(dst, dst + slice, MemType::Uncacheable);
+                }
+                let mut sink = ActionSink::new();
+                let mut commits = Vec::new();
+                let mut out = StoreOutcome { issued: SimTime::ZERO, retire: SimTime::ZERO };
+                for w in bounds.windows(2) {
+                    let o = sim.platform.nodes[0]
+                        .store_burst(out.issued, base, &pattern, len, w[0]..w[1], &mut sink);
+                    sim.platform.propagate(0, &mut sink, &mut commits);
+                    out = StoreOutcome { issued: o.issued, retire: out.retire.max(o.retire) };
+                }
+                (out, commits, sim)
+            };
+            let (one, one_commits, one_sim) = run(&[0, cells]);
+            let (split, split_commits, split_sim) = run(&bounds);
+
+            prop_assert_eq!(split.issued, one.issued, "issue clocks diverge");
+            prop_assert_eq!(split.retire, one.retire, "retire times diverge");
+            prop_assert!(!one_commits.is_empty());
+            prop_assert_eq!(&split_commits, &one_commits, "commit streams diverge");
+            prop_assert!(
+                split_sim.platform.nodes[1].mem.contents_eq(&one_sim.platform.nodes[1].mem),
+                "destination memory images diverge"
+            );
+        }
     }
 
     /// Latency is monotone in message size and bandwidth curves stay
